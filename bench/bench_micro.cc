@@ -21,7 +21,6 @@
 #include "lp/incremental.h"
 #include "lp/simplex.h"
 #include "math/dyadic.h"
-#include "math/rational.h"
 #include "ranking/score_ranking.h"
 #include "ranking/verifier.h"
 #include "util/random.h"
@@ -547,16 +546,6 @@ void BM_DyadicDotProduct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DyadicDotProduct);
-
-void BM_RationalArithmetic(benchmark::State& state) {
-  Rational a = Rational::FromDouble(0.123456789);
-  Rational b = Rational::FromDouble(3.14159265358979);
-  for (auto _ : state) {
-    Rational c = a * b + a - b;
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_RationalArithmetic);
 
 void BM_ScoreRanking(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -70,9 +70,9 @@
 #include "bench/harness_include.h"
 #include "core/solve_session.h"
 #include "core/warm_cache.h"
+#include "net/dial.h"
 #include "net/frame.h"
 #include "net/reactor.h"
-#include "net/socket_server.h"
 #include "server/journal.h"
 #include "server/session_registry.h"
 #include "server/wire.h"

@@ -32,6 +32,29 @@ echo "== coordinator smoke: rankhow_coord fronting 2 workers =="
 # and the aggregated stats line must carry the coord_* breakdown.
 bash scripts/smoke_coord.sh build
 
+echo "== stress: chaos/coord/net/cache suites under CPU load =="
+# Tier-1 must hold on a loaded machine, not only when a suite runs alone:
+# re-run the timing-sensitive suites (SIGKILL/restart, coordinator
+# failover, the reactor, the warm cache) three times each while one
+# busy-loop process per core competes for the CPU.
+HOGS=()
+stop_hogs() {
+  for pid in "${HOGS[@]-}"; do
+    [[ -n "$pid" ]] || continue
+    kill "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+  done
+  HOGS=()
+}
+trap stop_hogs EXIT
+for _ in $(seq 1 "$(nproc)"); do
+  (while :; do :; done) &
+  HOGS+=("$!")
+done
+(cd build && ctest --output-on-failure -L 'chaos|coord|net|cache' \
+  --repeat until-fail:3)
+stop_hogs
+
 echo "== tsan: thread-sanitized build + ctest -L tsan =="
 cmake --preset tsan
 cmake --build --preset tsan -j
@@ -51,7 +74,7 @@ echo "== tsan cache gate: warm-start cache suite, explicitly =="
 (cd build-tsan && ctest --output-on-failure -L cache)
 
 echo "== tsan coord gate: shard coordinator suite, explicitly =="
-# The coordinator races downstream session threads against upstream reader
+# The coordinator's reactor loops and ops thread race upstream reader
 # threads, the health prober, and the failover replay path; the -L coord
 # run makes that gate visible in the log. (Kill-based failover lives in
 # tests/chaos and rides the asan chaos gate below.)

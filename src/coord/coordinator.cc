@@ -1,24 +1,30 @@
 #include "coord/coordinator.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "net/frame.h"
 #include "server/wire.h"
 #include "util/string_util.h"
 
 namespace rankhow {
 
 namespace {
+
+/// How long a command waits for failover to rebind its session before
+/// giving up with a clean error (covers one dial plus probe slack).
+constexpr std::chrono::milliseconds kForwardRetry{8000};
+/// Bound on the graceful quit drain (mirrors the reactor's
+/// drain_deadline_seconds).
+constexpr std::chrono::milliseconds kQuitDrain{30000};
+/// Session::worker while a failover picks its replacement.
+constexpr int kRebinding = -1;
 
 /// Fields merged by max instead of sum: high-water marks, latency
 /// quantiles, and the sticky degraded flags (any worker degraded means
@@ -70,82 +76,72 @@ std::string AggregateFieldLines(const std::vector<std::string>& lines) {
 }
 
 // ---------------------------------------------------------------------------
-// Downstream: one accepted client connection
+// Downstream: one client connection, the reactor's per-connection state
 // ---------------------------------------------------------------------------
 
 class CoordServer::Downstream
     : public std::enable_shared_from_this<CoordServer::Downstream> {
  public:
-  Downstream(CoordServer* server, int fd) : server_(server), fd_(fd) {}
-  ~Downstream() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+  Downstream(CoordServer* server, std::shared_ptr<ReactorConn> conn)
+      : server_(server), conn_(std::move(conn)) {}
   Downstream(const Downstream&) = delete;
   Downstream& operator=(const Downstream&) = delete;
 
-  /// The session thread: read, decode, dispatch — until EOF, a framing
-  /// error, or an acked quit.
-  void Run();
-  /// Any thread: wakes Run() out of recv so it tears the session down.
-  void Abort() { ::shutdown(fd_, SHUT_RDWR); }
+  /// Loop thread: one decoded request. Never dials or waits on a worker;
+  /// work that would is handed to conn_->Defer.
+  void HandleLine(const std::string& payload);
+  /// Ops thread, once, after the connection closed.
+  void Cleanup();
 
  private:
   struct Session {
     std::string requested_dataset;  ///< what `open` asked for (routing key)
     std::string bound_dataset;      ///< what the worker's ack echoed
     std::string open_payload;       ///< canonical open line, for replay
-    int worker = -1;
+    int worker = kRebinding;
     bool open_acked = false;
     bool recovered_pending = false;  ///< failed over; next open adopts
     std::vector<std::string> acked_edits;  ///< ok-acked edit lines, in order
   };
 
-  void HandleLine(const std::string& payload);
   void HandleOpen(int64_t line_no, const WireRequest& request);
+  /// Deferred half of `open`: routes, dials, re-routes past dead workers.
+  void OpenWithDial(int64_t line_no, const WireRequest& request);
   void HandleSessionVerb(int64_t line_no, const WireRequest& request,
                          const std::string& payload);
+  /// Deferred: waits out a failover rebind of `entry`'s session, then
+  /// forwards it, or answers a clean error.
+  void AwaitRebind(const ProxyEntry& entry);
   void HandleDeadline(int64_t ms);
-  void HandleFrame(bool binary);
+  /// Deferred: `stats`/`metrics` over every up worker, merged.
   void HandleScatter(bool metrics);
   void HandleQuit();
-  void Cleanup();
 
-  void OnUpstreamResponse(int worker, const ProxyEntry& entry,
+  void OnUpstreamResponse(const ProxyEntry& entry,
                           const std::string& response);
   void OnUpstreamBroken(int worker, UpstreamConn* conn,
                         std::vector<ProxyEntry> unacked);
 
-  /// Existing healthy connection to `worker`, or a fresh dial. nullptr
-  /// with *error set when the dial fails. Called under mu_ (the dial
-  /// blocks responses for up to dial_timeout_ms — a coordinator fronts
-  /// few downstreams, and correctness of the swap wants atomicity).
-  std::shared_ptr<UpstreamConn> GetOrCreateUpstreamLocked(
-      int worker, std::string* error);
+  /// Existing healthy connection to `worker`, or a fresh dial. Dials
+  /// without mu_ held; nullptr with *error set when the dial fails.
+  std::shared_ptr<UpstreamConn> UpstreamFor(int worker, std::string* error);
+  /// Records a session for `request` and forwards its open on `up`.
+  /// False when `up` died first (the caller re-routes). Under mu_.
+  bool ForwardOpenLocked(int64_t line_no, const WireRequest& request,
+                         int worker, const std::shared_ptr<UpstreamConn>& up);
+  /// Forwards `entry` to its session's current worker. False when the
+  /// session is gone or its worker's connection is dead. Under mu_.
+  bool ForwardToSessionLocked(const ProxyEntry& entry);
 
-  /// Forwards a close/command entry to its session's current worker,
-  /// waiting out an in-progress failover rebind. Consumes `lock`-held
-  /// mu_; returns with mu_ held.
-  void ForwardSessionEntry(std::unique_lock<std::mutex>& lock,
-                           const std::string& client, ProxyEntry entry);
-
-  void Emit(const std::string& payload);
-  void SendAllLocked(const std::string& bytes);
+  void Emit(const std::string& payload) { (void)conn_->Send(payload); }
 
   CoordServer* server_;
-  int fd_;
+  /// Shared, not borrowed: upstream reader threads may still answer
+  /// through it after on_close (Send then drops the message).
+  std::shared_ptr<ReactorConn> conn_;
+  int64_t line_no_ = 0;  ///< loop thread only
 
-  // Session-thread-only state.
-  FrameDecoder decoder_;
-  int64_t line_no_ = 0;
-  bool finished_ = false;  ///< quit acked; stop reading
-
-  // Downstream write side: whole-message writes under one lock, encoded
-  // in the mode current at send time (reader threads race the session
-  // thread here, exactly like reactor conns).
-  std::mutex write_mu_;
-  FrameMode send_mode_ = FrameMode::kText;
-
-  // Proxy state shared with upstream reader threads.
+  // Proxy state shared with upstream reader threads and deferred work.
   std::mutex mu_;
   std::condition_variable drain_cv_;
   std::map<std::string, Session> sessions_;
@@ -155,31 +151,6 @@ class CoordServer::Downstream
   bool deadline_set_ = false;
   bool ended_ = false;  ///< quit or teardown: drop, don't fail over
 };
-
-void CoordServer::Downstream::Run() {
-  char buf[4096];
-  bool fatal = false;
-  while (!fatal && !finished_) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    decoder_.Feed(buf, static_cast<size_t>(n));
-    std::string payload;
-    for (;;) {
-      const FrameDecoder::Next next = decoder_.Pop(&payload);
-      if (next == FrameDecoder::Next::kNeedMore) break;
-      if (next == FrameDecoder::Next::kError) {
-        // Same last word the reactor gives before an abort-close: a
-        // length-prefixed stream cannot resync.
-        Emit("err - " + decoder_.error());
-        fatal = true;
-        break;
-      }
-      HandleLine(payload);
-      if (finished_) break;
-    }
-  }
-  Cleanup();
-}
 
 void CoordServer::Downstream::Cleanup() {
   std::vector<std::shared_ptr<UpstreamConn>> ups;
@@ -196,31 +167,13 @@ void CoordServer::Downstream::Cleanup() {
   for (auto& conn : ups) conn->Shutdown();
 }
 
-void CoordServer::Downstream::Emit(const std::string& payload) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  std::string out;
-  EncodeFrame(send_mode_, payload, &out);
-  SendAllLocked(out);
-}
-
-void CoordServer::Downstream::SendAllLocked(const std::string& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
-    if (n <= 0) return;  // peer gone; Run() sees the EOF shortly
-    off += static_cast<size_t>(n);
-  }
-}
-
 void CoordServer::Downstream::HandleLine(const std::string& payload) {
   const int64_t line_no = ++line_no_;
   Result<WireRequest> request = ParseWireLine(payload);
   if (!request.ok()) {
     if (request.status().code() == StatusCode::kNotFound) return;  // blank
     server_->c_local_errors_.fetch_add(1);
-    Emit(StrFormat("err - wire line %d: %s", static_cast<int>(line_no),
-                   request.status().message().c_str()));
+    Emit(WireParseError(line_no, request.status().message()));
     return;
   }
   switch (request->kind) {
@@ -228,16 +181,21 @@ void CoordServer::Downstream::HandleLine(const std::string& payload) {
       HandleQuit();
       break;
     case WireRequest::Kind::kStats:
-      HandleScatter(/*metrics=*/false);
+    case WireRequest::Kind::kMetrics: {
+      // Worker round trips: off the loop.
+      const bool metrics = request->kind == WireRequest::Kind::kMetrics;
+      auto self = shared_from_this();
+      conn_->Defer([self, metrics] { self->HandleScatter(metrics); });
       break;
-    case WireRequest::Kind::kMetrics:
-      HandleScatter(/*metrics=*/true);
-      break;
+    }
     case WireRequest::Kind::kDeadline:
       HandleDeadline(request->deadline_ms);
       break;
     case WireRequest::Kind::kFrame:
-      HandleFrame(request->frame_binary);
+      // Ack in the old mode, then switch: the worker's own contract.
+      Emit(WireFrameAck(request->frame_binary));
+      conn_->SwitchMode(request->frame_binary ? FrameMode::kBinary
+                                              : FrameMode::kText);
       break;
     case WireRequest::Kind::kOpen:
       HandleOpen(line_no, *request);
@@ -250,37 +208,21 @@ void CoordServer::Downstream::HandleLine(const std::string& payload) {
 }
 
 void CoordServer::Downstream::HandleDeadline(int64_t ms) {
-  const std::string canonical =
-      StrFormat("deadline %lld", static_cast<long long>(ms));
   {
     std::lock_guard<std::mutex> lock(mu_);
     deadline_ms_ = ms;
     deadline_set_ = true;
     // Deadlines are per-connection worker state: push to every live
-    // upstream now, and GetOrCreateUpstreamLocked seeds future ones.
+    // upstream now, and UpstreamFor seeds future ones.
     for (auto& [worker, conn] : upstreams_) {
       ProxyEntry entry;
       entry.kind = ProxyEntry::Kind::kDeadline;
-      entry.payload = canonical;
+      entry.payload = StrFormat("deadline %lld", static_cast<long long>(ms));
       entry.swallow = true;
       if (conn->Forward(std::move(entry))) ++inflight_;
     }
   }
-  Emit(StrFormat("ok deadline %lld", static_cast<long long>(ms)));
-}
-
-void CoordServer::Downstream::HandleFrame(bool binary) {
-  {
-    // Ack in the OLD mode, switch everything queued after — the same
-    // contract the reactor documents for SwitchMode.
-    std::lock_guard<std::mutex> lock(write_mu_);
-    std::string out;
-    EncodeFrame(send_mode_, StrFormat("ok frame %s", binary ? "binary" : "text"),
-                &out);
-    SendAllLocked(out);
-    send_mode_ = binary ? FrameMode::kBinary : FrameMode::kText;
-  }
-  decoder_.set_mode(binary ? FrameMode::kBinary : FrameMode::kText);
+  Emit(WireDeadlineAck(ms));
 }
 
 void CoordServer::Downstream::HandleOpen(int64_t line_no,
@@ -288,24 +230,41 @@ void CoordServer::Downstream::HandleOpen(int64_t line_no,
   std::unique_lock<std::mutex> lock(mu_);
   auto it = sessions_.find(request.client);
   if (it != sessions_.end()) {
+    std::string reply;
     if (it->second.recovered_pending) {
       // The session failed over to a replacement worker; this open
       // adopts it, carrying the same suffix a journal-recovering worker
       // uses (docs/PROTOCOL.md "Recovery").
       it->second.recovered_pending = false;
-      const std::string ack = "ok open " + request.client + " " +
-                              it->second.bound_dataset + " recovered";
-      lock.unlock();
-      Emit(ack);
-      return;
+      reply = "ok open " + request.client + " " + it->second.bound_dataset +
+              " recovered";
+    } else {
+      server_->c_local_errors_.fetch_add(1);
+      reply = WireDuplicateOpen(request.client);
     }
-    server_->c_local_errors_.fetch_add(1);
     lock.unlock();
-    Emit("err " + request.client + " client already open: " +
-         request.client);
+    Emit(reply);
     return;
   }
+  // Fast path: the routed worker already has a live upstream here.
+  Result<int> route = server_->shard_map_.Route(
+      request.dataset,
+      [this](int i) { return server_->supervisor_->IsAlive(i); });
+  if (route.ok()) {
+    auto up = upstreams_.find(*route);
+    if (up != upstreams_.end() && !up->second->failed() &&
+        ForwardOpenLocked(line_no, request, *route, up->second)) {
+      return;  // the worker's ack flows back through OnUpstreamResponse
+    }
+  }
+  lock.unlock();
+  auto self = shared_from_this();
+  conn_->Defer(
+      [self, line_no, request] { self->OpenWithDial(line_no, request); });
+}
 
+void CoordServer::Downstream::OpenWithDial(int64_t line_no,
+                                           const WireRequest& request) {
   const int num_workers =
       static_cast<int>(server_->shard_map_.workers().size());
   std::string last_error = "no alive worker";
@@ -317,42 +276,43 @@ void CoordServer::Downstream::HandleOpen(int64_t line_no,
       last_error = route.status().message();
       break;
     }
-    std::string dial_error;
-    std::shared_ptr<UpstreamConn> up =
-        GetOrCreateUpstreamLocked(*route, &dial_error);
+    std::shared_ptr<UpstreamConn> up = UpstreamFor(*route, &last_error);
     if (up == nullptr) {
       // The route said alive but the dial says dead: fast-probe (marks
       // the worker down on confirmation) and re-route.
-      last_error = dial_error;
-      const int dead = *route;
-      lock.unlock();
-      server_->supervisor_->ReportFailure(dead);
-      lock.lock();
+      server_->supervisor_->ReportFailure(*route);
       continue;
     }
-    Session session;
-    session.requested_dataset = request.dataset;
-    session.open_payload =
-        "open " + request.client +
-        (request.dataset.empty() ? "" : " " + request.dataset);
-    session.worker = *route;
-    sessions_[request.client] = std::move(session);
-    ProxyEntry entry;
-    entry.kind = ProxyEntry::Kind::kOpen;
-    entry.payload = sessions_[request.client].open_payload;
-    entry.client = request.client;
-    entry.downstream_line = line_no;
-    if (!up->Forward(std::move(entry))) {
-      sessions_.erase(request.client);  // raced the conn's death; retry
-      continue;
-    }
-    ++inflight_;
-    server_->c_sessions_opened_.fetch_add(1);
-    return;  // the worker's ack flows back through OnUpstreamResponse
+    std::lock_guard<std::mutex> lock(mu_);
+    if (ForwardOpenLocked(line_no, request, *route, up)) return;
+    // Raced the connection's death; re-route.
   }
   server_->c_local_errors_.fetch_add(1);
-  lock.unlock();
   Emit("err " + request.client + " " + last_error);
+}
+
+bool CoordServer::Downstream::ForwardOpenLocked(
+    int64_t line_no, const WireRequest& request, int worker,
+    const std::shared_ptr<UpstreamConn>& up) {
+  Session session;
+  session.requested_dataset = request.dataset;
+  session.open_payload =
+      "open " + request.client +
+      (request.dataset.empty() ? "" : " " + request.dataset);
+  session.worker = worker;
+  ProxyEntry entry;
+  entry.kind = ProxyEntry::Kind::kOpen;
+  entry.payload = session.open_payload;
+  entry.client = request.client;
+  entry.downstream_line = line_no;
+  sessions_[request.client] = std::move(session);
+  if (!up->Forward(std::move(entry))) {
+    sessions_.erase(request.client);
+    return false;
+  }
+  ++inflight_;
+  server_->c_sessions_opened_.fetch_add(1);
+  return true;
 }
 
 void CoordServer::Downstream::HandleSessionVerb(int64_t line_no,
@@ -362,8 +322,7 @@ void CoordServer::Downstream::HandleSessionVerb(int64_t line_no,
   if (sessions_.find(request.client) == sessions_.end()) {
     server_->c_local_errors_.fetch_add(1);
     lock.unlock();
-    Emit(StrFormat("err %s no client named %s on this connection",
-                   request.client.c_str(), request.client.c_str()));
+    Emit(WireUnknownClient(request.client));
     return;
   }
   ProxyEntry entry;
@@ -378,65 +337,70 @@ void CoordServer::Downstream::HandleSessionVerb(int64_t line_no,
     entry.is_edit = request.command.kind != SessionCommand::Kind::kSolve;
     server_->c_commands_proxied_.fetch_add(1);
   }
-  ForwardSessionEntry(lock, request.client, std::move(entry));
+  if (ForwardToSessionLocked(entry)) return;
+  // The bound worker's connection is dead or dying: failover (on the
+  // broken reader's thread) will rebind the session; wait it out off the
+  // loop, with this connection's input paused so order holds.
+  lock.unlock();
+  auto self = shared_from_this();
+  conn_->Defer([self, entry] { self->AwaitRebind(entry); });
 }
 
-void CoordServer::Downstream::ForwardSessionEntry(
-    std::unique_lock<std::mutex>& lock, const std::string& client,
-    ProxyEntry entry) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(server_->options_.forward_retry_ms);
+bool CoordServer::Downstream::ForwardToSessionLocked(
+    const ProxyEntry& entry) {
+  auto it = sessions_.find(entry.client);
+  if (it == sessions_.end()) return false;
+  auto up = upstreams_.find(it->second.worker);
+  if (up == upstreams_.end() || up->second->failed() ||
+      !up->second->Forward(entry)) {
+    return false;
+  }
+  ++inflight_;
+  return true;
+}
+
+void CoordServer::Downstream::AwaitRebind(const ProxyEntry& entry) {
+  const auto deadline = std::chrono::steady_clock::now() + kForwardRetry;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    auto it = sessions_.find(client);
-    if (it == sessions_.end()) {
-      // The session died mid-retry (failover found no replacement).
+    if (sessions_.find(entry.client) == sessions_.end()) {
+      // The session died mid-wait (failover found no replacement).
       server_->c_local_errors_.fetch_add(1);
       lock.unlock();
-      Emit(StrFormat("err %s no client named %s on this connection",
-                     client.c_str(), client.c_str()));
-      lock.lock();
+      Emit(WireUnknownClient(entry.client));
       return;
     }
-    auto up = upstreams_.find(it->second.worker);
-    if (up != upstreams_.end() && !up->second->failed() &&
-        up->second->Forward(entry)) {
-      ++inflight_;
-      return;
-    }
-    // The bound worker's connection is dead or dying: failover (on the
-    // broken reader's thread) will rebind the session; wait it out.
+    if (ForwardToSessionLocked(entry)) return;
     if (std::chrono::steady_clock::now() >= deadline) break;
     lock.unlock();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     lock.lock();
   }
   server_->c_local_errors_.fetch_add(1);
-  std::string err;
-  if (entry.kind == ProxyEntry::Kind::kCommand) {
-    err = StrFormat("err %s line=%d worker unavailable: failover did not "
-                    "complete",
-                    client.c_str(),
-                    static_cast<int>(entry.downstream_line));
-  } else {
-    err = StrFormat("err %s worker unavailable: failover did not complete",
-                    client.c_str());
-  }
   lock.unlock();
-  Emit(err);
-  lock.lock();
+  if (entry.kind == ProxyEntry::Kind::kCommand) {
+    Emit(StrFormat("err %s line=%d worker unavailable: failover did not "
+                   "complete",
+                   entry.client.c_str(),
+                   static_cast<int>(entry.downstream_line)));
+  } else {
+    Emit("err " + entry.client +
+         " worker unavailable: failover did not complete");
+  }
 }
 
-std::shared_ptr<UpstreamConn>
-CoordServer::Downstream::GetOrCreateUpstreamLocked(int worker,
-                                                   std::string* error) {
-  auto it = upstreams_.find(worker);
-  if (it != upstreams_.end() && !it->second->failed()) return it->second;
+std::shared_ptr<UpstreamConn> CoordServer::Downstream::UpstreamFor(
+    int worker, std::string* error) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = upstreams_.find(worker);
+    if (it != upstreams_.end() && !it->second->failed()) return it->second;
+  }
   auto self = shared_from_this();
   UpstreamConn::Callbacks callbacks;
-  callbacks.on_response = [self, worker](const ProxyEntry& entry,
-                                         const std::string& response) {
-    self->OnUpstreamResponse(worker, entry, response);
+  callbacks.on_response = [self](const ProxyEntry& entry,
+                                 const std::string& response) {
+    self->OnUpstreamResponse(entry, response);
   };
   callbacks.on_broken = [self, worker](UpstreamConn* conn,
                                        std::vector<ProxyEntry> unacked) {
@@ -449,6 +413,14 @@ CoordServer::Downstream::GetOrCreateUpstreamLocked(int worker,
   if (!dialed.ok()) {
     *error = dialed.status().message();
     return nullptr;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = upstreams_.find(worker);
+  if (ended_ || (it != upstreams_.end() && !it->second->failed())) {
+    // Torn down meanwhile (the dead connection refuses every Forward), or
+    // a concurrent dial won the race: keep one connection per worker.
+    (*dialed)->Shutdown();
+    return ended_ ? *dialed : it->second;
   }
   // A failed predecessor may still sit in the map: its on_broken erases
   // by pointer identity, so overwriting here cannot orphan anything.
@@ -464,10 +436,8 @@ CoordServer::Downstream::GetOrCreateUpstreamLocked(int worker,
   return *dialed;
 }
 
-void CoordServer::Downstream::OnUpstreamResponse(int worker,
-                                                 const ProxyEntry& entry,
+void CoordServer::Downstream::OnUpstreamResponse(const ProxyEntry& entry,
                                                  const std::string& response) {
-  (void)worker;
   const bool ok = StartsWith(response, "ok ");
   std::string out;
   {
@@ -532,7 +502,12 @@ void CoordServer::Downstream::OnUpstreamBroken(
   // Probe before locking: confirms the death (marks the worker down so
   // routing skips it) without stalling response forwarding.
   server_->supervisor_->ReportFailure(worker);
-  std::vector<std::string> emits;
+
+  // 1. Under the lock: take the broken connection out, sort its unacked
+  //    tail by client, and park the sessions bound to it (their new
+  //    commands wait in AwaitRebind until step 3 rebinds them).
+  std::map<std::string, std::vector<ProxyEntry>> pending_by_client;
+  std::vector<std::pair<std::string, std::string>> affected;  // client, key
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto uit = upstreams_.find(worker);
@@ -547,7 +522,6 @@ void CoordServer::Downstream::OnUpstreamBroken(
     // Swallowed entries don't replay from here: deadlines are re-seeded
     // per new connection, and replayed opens/edits are regenerated from
     // the session's acked_edits below.
-    std::map<std::string, std::vector<ProxyEntry>> pending_by_client;
     int64_t dropped = 0;
     for (ProxyEntry& entry : unacked) {
       if (entry.swallow || entry.kind == ProxyEntry::Kind::kDeadline) {
@@ -558,42 +532,64 @@ void CoordServer::Downstream::OnUpstreamBroken(
     }
     inflight_ -= dropped;
 
-    std::vector<std::string> affected;
     for (auto& [client, session] : sessions_) {
-      if (session.worker == worker) affected.push_back(client);
+      if (session.worker != worker) continue;
+      session.worker = kRebinding;
+      affected.emplace_back(client, session.requested_dataset);
     }
     if (!affected.empty()) server_->c_failovers_.fetch_add(1);
+  }
 
-    const std::string dead_spec =
-        server_->shard_map_.workers()[static_cast<size_t>(worker)].spec;
-    for (const std::string& client : affected) {
-      Session& session = sessions_[client];
-      std::shared_ptr<UpstreamConn> replacement;
-      int replacement_index = -1;
-      std::string why = "no replacement available";
-      const int num_workers =
-          static_cast<int>(server_->shard_map_.workers().size());
-      for (int attempt = 0; attempt < num_workers; ++attempt) {
-        Result<int> route = server_->shard_map_.Route(
-            session.requested_dataset, [this, worker](int i) {
-              return i != worker && server_->supervisor_->IsAlive(i);
-            });
-        if (!route.ok()) {
-          why = route.status().message();
-          break;
-        }
-        std::string dial_error;
-        replacement = GetOrCreateUpstreamLocked(*route, &dial_error);
-        if (replacement != nullptr) {
-          replacement_index = *route;
-          break;
-        }
-        why = dial_error;
-        server_->supervisor_->ReportUnreachable(*route, dial_error);
+  // 2. Without the lock: route each parked session past the dead worker
+  //    and dial its replacement.
+  struct Rebind {
+    int worker = -1;
+    std::shared_ptr<UpstreamConn> conn;
+    std::string why = "no replacement available";
+  };
+  std::map<std::string, Rebind> rebinds;
+  const int num_workers =
+      static_cast<int>(server_->shard_map_.workers().size());
+  for (const auto& [client, dataset] : affected) {
+    Rebind& rebind = rebinds[client];
+    for (int attempt = 0; attempt < num_workers; ++attempt) {
+      Result<int> route = server_->shard_map_.Route(
+          dataset, [this, worker](int i) {
+            return i != worker && server_->supervisor_->IsAlive(i);
+          });
+      if (!route.ok()) {
+        rebind.why = route.status().message();
+        break;
       }
+      std::string dial_error;
+      rebind.conn = UpstreamFor(*route, &dial_error);
+      if (rebind.conn != nullptr) {
+        rebind.worker = *route;
+        break;
+      }
+      rebind.why = dial_error;
+      server_->supervisor_->ReportUnreachable(*route, dial_error);
+    }
+  }
 
+  // 3. Under the lock again: rebuild each session on its replacement.
+  const std::string dead_spec =
+      server_->shard_map_.workers()[static_cast<size_t>(worker)].spec;
+  std::vector<std::string> emits;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [client, dataset] : affected) {
+      auto sit = sessions_.find(client);
+      // Ended meanwhile: the pending entries are answered as orphans.
+      if (ended_ || sit == sessions_.end()) continue;
+      Session& session = sit->second;
+      Rebind& rebind = rebinds[client];
       std::vector<ProxyEntry>& pending = pending_by_client[client];
-      if (replacement == nullptr) {
+      if (rebind.conn != nullptr && rebind.conn->failed()) {
+        rebind.conn = nullptr;
+        rebind.why = "replacement died";
+      }
+      if (rebind.conn == nullptr) {
         server_->c_failover_failures_.fetch_add(1);
         for (ProxyEntry& entry : pending) {
           --inflight_;
@@ -601,14 +597,14 @@ void CoordServer::Downstream::OnUpstreamBroken(
             emits.push_back(StrFormat(
                 "err %s line=%d worker %s died: %s", client.c_str(),
                 static_cast<int>(entry.downstream_line), dead_spec.c_str(),
-                why.c_str()));
+                rebind.why.c_str()));
           } else {
             emits.push_back("err " + client + " worker " + dead_spec +
-                            " died: " + why);
+                            " died: " + rebind.why);
           }
         }
         pending.clear();
-        sessions_.erase(client);
+        sessions_.erase(sit);
         continue;
       }
 
@@ -627,7 +623,7 @@ void CoordServer::Downstream::OnUpstreamBroken(
         open_entry.payload = session.open_payload;
         open_entry.client = client;
         open_entry.swallow = true;
-        if (replacement->Forward(std::move(open_entry))) ++inflight_;
+        if (rebind.conn->Forward(std::move(open_entry))) ++inflight_;
         for (const std::string& edit : session.acked_edits) {
           ProxyEntry replay;
           replay.kind = ProxyEntry::Kind::kCommand;
@@ -635,14 +631,14 @@ void CoordServer::Downstream::OnUpstreamBroken(
           replay.client = client;
           replay.is_edit = true;
           replay.swallow = true;
-          if (replacement->Forward(std::move(replay))) {
+          if (rebind.conn->Forward(std::move(replay))) {
             ++inflight_;
             server_->c_replayed_edits_.fetch_add(1);
           }
         }
       }
       for (ProxyEntry& entry : pending) {
-        if (!replacement->Forward(std::move(entry))) {
+        if (!rebind.conn->Forward(std::move(entry))) {
           // The replacement died inside the same failover; its own
           // on_broken cannot know this entry, so fail it here.
           --inflight_;
@@ -652,13 +648,14 @@ void CoordServer::Downstream::OnUpstreamBroken(
         }
       }
       pending.clear();
-      session.worker = replacement_index;
+      session.worker = rebind.worker;
       if (session.open_acked) session.recovered_pending = true;
       server_->c_failover_sessions_.fetch_add(1);
     }
 
-    // Entries whose client has no session (closed concurrently or open
-    // already rejected): nothing to rebind, answer cleanly.
+    // Entries whose client has no session (closed concurrently, open
+    // already rejected, connection ended): nothing to rebind, answer
+    // cleanly.
     for (auto& [client, pending] : pending_by_client) {
       for (ProxyEntry& entry : pending) {
         --inflight_;
@@ -722,28 +719,36 @@ void CoordServer::Downstream::HandleScatter(bool metrics) {
 }
 
 void CoordServer::Downstream::HandleQuit() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Graceful drain: ask each worker to close its clients (their queued
-  // commands finish and answer first — the worker's own close semantics)
-  // and hold `ok quit` until every in-flight response came back.
-  for (auto& [client, session] : sessions_) {
-    auto up = upstreams_.find(session.worker);
-    if (up == upstreams_.end() || up->second->failed()) continue;
-    ProxyEntry entry;
-    entry.kind = ProxyEntry::Kind::kClose;
-    entry.payload = "close " + client;
-    entry.client = client;
-    entry.swallow = true;
-    if (up->second->Forward(std::move(entry))) ++inflight_;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Graceful drain: ask each worker to close its clients (their queued
+    // commands finish and answer first — the worker's own close
+    // semantics) and hold `ok quit` until every in-flight response came
+    // back.
+    for (auto& [client, session] : sessions_) {
+      auto up = upstreams_.find(session.worker);
+      if (up == upstreams_.end() || up->second->failed()) continue;
+      ProxyEntry entry;
+      entry.kind = ProxyEntry::Kind::kClose;
+      entry.payload = "close " + client;
+      entry.client = client;
+      entry.swallow = true;
+      if (up->second->Forward(std::move(entry))) ++inflight_;
+    }
+    ended_ = true;
   }
-  ended_ = true;
-  drain_cv_.wait_for(
-      lock, std::chrono::milliseconds(server_->options_.quit_drain_ms),
-      [this] { return inflight_ == 0; });
-  sessions_.clear();
-  lock.unlock();
-  Emit("ok quit");
-  finished_ = true;
+  auto self = shared_from_this();
+  conn_->Defer([self] {
+    {
+      std::unique_lock<std::mutex> lock(self->mu_);
+      self->drain_cv_.wait_for(lock, kQuitDrain,
+                               [&self] { return self->inflight_ == 0; });
+      self->sessions_.clear();
+    }
+    self->Emit("ok quit");
+    // Input stays paused: the reactor never resumes a closing connection.
+    self->conn_->Close();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -758,85 +763,52 @@ CoordServer::CoordServer(ShardMap shard_map, CoordOptions options)
 
 CoordServer::~CoordServer() { Stop(); }
 
+ReactorCallbacks CoordServer::MakeCallbacks() {
+  using DownstreamPtr = std::shared_ptr<Downstream>;
+  ReactorCallbacks callbacks;
+  callbacks.on_open = [this](ReactorConn& conn) -> void* {
+    c_connections_.fetch_add(1);
+    return new DownstreamPtr(
+        std::make_shared<Downstream>(this, conn.shared_from_this()));
+  };
+  callbacks.on_message = [](ReactorConn& conn, const std::string& payload) {
+    (*static_cast<DownstreamPtr*>(conn.user()))->HandleLine(payload);
+  };
+  callbacks.on_protocol_error = [](ReactorConn& conn,
+                                   const std::string& error) {
+    (void)conn.Send(WireFramingError(error));
+  };
+  callbacks.on_close = [](ReactorConn& conn, CloseReason) {
+    auto* downstream = static_cast<DownstreamPtr*>(conn.user());
+    (*downstream)->Cleanup();
+    delete downstream;
+  };
+  return callbacks;
+}
+
 Status CoordServer::Start(const ListenAddress& listen) {
-  if (started_) return Status::Invalid("coordinator already started");
-  RH_ASSIGN_OR_RETURN(listen_fd_,
-                      OpenListenSocket(listen, &bound_, &unlink_path_));
-  stopping_.store(false);
-  started_ = true;
+  if (reactor_ != nullptr) return Status::Invalid("coordinator already started");
+  // No metrics sink: `metrics` stays the workers' scatter-gather.
+  auto reactor =
+      std::make_unique<ReactorServer>(MakeCallbacks(), ReactorOptions());
+  RH_RETURN_NOT_OK(reactor->Start(listen));
+  reactor_ = std::move(reactor);
+  bound_ = reactor_->bound();
   supervisor_->Start();
-  gate_.Enter();
-  std::thread([this] {
-    AcceptLoop();
-    gate_.Exit();
-  }).detach();
   return Status();
 }
 
 void CoordServer::Stop() {
-  if (!started_) return;
-  stopping_.store(true);
-  // SHUT_RDWR wakes the accept loop; the close waits until every thread
-  // is provably out of the fd.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  std::vector<std::shared_ptr<Downstream>> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(downstreams_mu_);
-    for (auto& [key, downstream] : downstreams_) {
-      snapshot.push_back(downstream);
-    }
-  }
-  for (auto& downstream : snapshot) downstream->Abort();
+  if (reactor_ == nullptr) return;
+  // Abort-closes every downstream; each on_close shuts its upstreams, so
+  // the reader threads wind down and the gate empties.
+  reactor_->Stop();
   if (!gate_.WaitIdle(15000)) {
     std::fprintf(stderr,
                  "rankhow_coord: threads did not quiesce within 15s\n");
   }
   supervisor_->Stop();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  {
-    std::lock_guard<std::mutex> lock(downstreams_mu_);
-    downstreams_.clear();
-  }
-  if (!unlink_path_.empty()) {
-    ::unlink(unlink_path_.c_str());
-    unlink_path_.clear();
-  }
-  started_ = false;
-}
-
-void CoordServer::AcceptLoop() {
-  const int listen_fd = listen_fd_;
-  for (;;) {
-    const int client_fd = ::accept(listen_fd, nullptr, nullptr);
-    if (client_fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // stopping, or the listener is gone
-    }
-    if (stopping_.load()) {
-      ::close(client_fd);
-      break;
-    }
-    c_connections_.fetch_add(1);
-    auto downstream = std::make_shared<Downstream>(this, client_fd);
-    {
-      std::lock_guard<std::mutex> lock(downstreams_mu_);
-      downstreams_[downstream.get()] = downstream;
-    }
-    gate_.Enter();
-    std::thread([this, downstream] {
-      downstream->Run();
-      RemoveDownstream(downstream.get());
-      gate_.Exit();
-    }).detach();
-  }
-}
-
-void CoordServer::RemoveDownstream(Downstream* key) {
-  std::lock_guard<std::mutex> lock(downstreams_mu_);
-  downstreams_.erase(key);
+  reactor_.reset();
 }
 
 CoordCounters CoordServer::counters() const {

@@ -10,12 +10,16 @@
 /// fails sessions over by replaying their acked edit scripts onto a
 /// replacement worker.
 ///
-/// Architecture (DESIGN.md "Shard coordinator"): one accept thread, one
-/// session thread per downstream connection (a coordinator fronts tens of
-/// analysts, not the reactor's ten thousand idle sockets), one detached
-/// reader thread per upstream connection (coord/upstream.h), and the
-/// supervisor's probe thread (coord/health.h). All are tracked by a
-/// ThreadGate so Stop() waits for quiescence.
+/// Architecture (DESIGN.md "Shard coordinator"): client connections are
+/// served by a ReactorServer (net/reactor.h) with the proxy as its handler,
+/// so a coordinator connection gets the worker's framing, write
+/// backpressure and deferred-op discipline. Besides the reactor's threads
+/// there is one detached reader thread per upstream connection
+/// (coord/upstream.h, tracked by a ThreadGate so Stop() waits for them)
+/// and the supervisor's probe thread (coord/health.h). Event loops never
+/// dial or wait on a worker: an open that must dial, the `stats`/`metrics`
+/// scatter-gather, the wait for a failover rebind and the `quit` drain
+/// run deferred on the reactor's ops thread.
 ///
 /// Transparency contract, in brief:
 ///   * parse errors, unknown-client, duplicate-open, `deadline`, and
@@ -35,28 +39,21 @@
 ///     suffix a journal-recovered worker uses.
 
 #include <atomic>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "coord/health.h"
 #include "coord/shard_map.h"
 #include "coord/upstream.h"
-#include "net/socket_server.h"
+#include "net/dial.h"
+#include "net/reactor.h"
 #include "util/status.h"
 
 namespace rankhow {
 
 struct CoordOptions {
   HealthOptions health;
-  /// How long a command waits for failover to rebind its session before
-  /// giving up with a clean error (covers one dial plus probe slack).
-  int forward_retry_ms = 8000;
-  /// Bound on the graceful quit drain (mirrors the reactor's
-  /// drain_deadline_seconds).
-  int quit_drain_ms = 30000;
 };
 
 /// Monotonic counters, exposed on the aggregated `stats` line as
@@ -81,7 +78,7 @@ class CoordServer {
   CoordServer(const CoordServer&) = delete;
   CoordServer& operator=(const CoordServer&) = delete;
 
-  /// Binds `listen`, starts the supervisor and the accept thread.
+  /// Binds `listen` and starts the reactor and the supervisor.
   Status Start(const ListenAddress& listen);
   /// Stops accepting, aborts live downstreams (workers abort-close their
   /// clients, exactly as if those connections died), waits for threads.
@@ -97,22 +94,14 @@ class CoordServer {
  private:
   class Downstream;
 
-  void AcceptLoop();
-  void RemoveDownstream(Downstream* key);
+  ReactorCallbacks MakeCallbacks();
 
   ShardMap shard_map_;
   CoordOptions options_;
   std::unique_ptr<WorkerSupervisor> supervisor_;
-  ThreadGate gate_;
-
+  ThreadGate gate_;  ///< upstream reader threads
+  std::unique_ptr<ReactorServer> reactor_;
   ListenAddress bound_;
-  std::string unlink_path_;
-  int listen_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  std::mutex downstreams_mu_;
-  std::map<Downstream*, std::shared_ptr<Downstream>> downstreams_;
 
   std::atomic<long long> c_connections_{0};
   std::atomic<long long> c_sessions_opened_{0};

@@ -70,7 +70,7 @@ class WorkerSupervisor {
 
   /// Marks `index` down without probing — for callers who just proved
   /// unreachability themselves (a failed dial) and cannot afford the
-  /// probe's network round-trip (e.g. under the failover lock).
+  /// probe's network round-trip (e.g. a failover dialing replacements).
   void ReportUnreachable(int index, const std::string& why);
 
   /// One request/response round-trip on a pooled control connection, with

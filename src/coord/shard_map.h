@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "net/socket_server.h"
+#include "net/dial.h"
 #include "util/status.h"
 
 namespace rankhow {

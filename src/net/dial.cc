@@ -12,6 +12,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "util/string_util.h"
+
 namespace rankhow {
 namespace {
 
@@ -62,6 +64,50 @@ Status ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t len,
 }
 
 }  // namespace
+
+Result<ListenAddress> ParseListenSpec(const std::string& raw) {
+  std::string spec(Trim(raw));
+  ListenAddress address;
+  if (StartsWith(spec, "unix:")) {
+    address.kind = ListenAddress::Kind::kUnix;
+    address.path = spec.substr(5);
+    if (address.path.empty()) {
+      return Status::Invalid("--listen=unix: needs a socket path");
+    }
+    return address;
+  }
+  std::string rest = spec;
+  if (StartsWith(rest, "tcp:")) {
+    rest = rest.substr(4);
+  } else if (spec.find('/') != std::string::npos) {
+    // A bare filesystem path serves over a Unix-domain socket.
+    address.kind = ListenAddress::Kind::kUnix;
+    address.path = spec;
+    return address;
+  }
+  const size_t colon = rest.rfind(':');
+  if (rest.empty() || colon == std::string::npos) {
+    return Status::Invalid(
+        "bad --listen spec '" + raw +
+        "' (want unix:PATH, a path containing '/', or HOST:PORT)");
+  }
+  auto port = ParseInt(rest.substr(colon + 1));
+  if (!port.ok() || *port < 0 || *port > 65535) {
+    return Status::Invalid("bad --listen port in '" + raw +
+                           "' (0..65535; 0 = ephemeral)");
+  }
+  address.kind = ListenAddress::Kind::kTcp;
+  address.host = rest.substr(0, colon);
+  address.port = static_cast<int>(*port);
+  return address;
+}
+
+std::string ListenSpecString(const ListenAddress& address) {
+  if (address.kind == ListenAddress::Kind::kUnix) {
+    return "unix:" + address.path;
+  }
+  return address.host + ":" + std::to_string(address.port);
+}
 
 Result<int> DialSocket(const ListenAddress& address,
                        const DialOptions& options) {

@@ -2,9 +2,12 @@
 #define RANKHOW_NET_DIAL_H_
 
 /// \file dial.h
-/// Client-side connection plumbing for the wire protocol: dialing a
-/// `--listen` address with a bounded connect timeout, and a blocking
-/// line/frame client over the dialed descriptor.
+/// Addressing and client-side connection plumbing for the wire protocol:
+/// the `--listen` spec grammar (`rankhow_cli --listen=PATH|HOST:PORT`,
+/// `rankhow_coord --listen`, worker specs), dialing an address with a
+/// bounded connect timeout, and a blocking line/frame client over the
+/// dialed descriptor. Binding and listening belong to the serving
+/// reactor (net/reactor.h), the only listener in the program.
 ///
 /// This is the productized form of the WireClient helper the socket and
 /// chaos test suites grew independently (PR 5/8): the protocol-conformance
@@ -21,10 +24,31 @@
 #include <string>
 
 #include "net/frame.h"
-#include "net/socket_server.h"
 #include "util/status.h"
 
 namespace rankhow {
+
+/// A listen or dial address. Unix-domain sockets need a path shorter than
+/// sockaddr_un::sun_path; callers (and the test suite) treat a
+/// kUnimplemented/kIoError from binding one as "skip", not "fail". IPv4
+/// only; HOST accepts a dotted quad, "localhost", or "" / "*" / "0.0.0.0"
+/// for INADDR_ANY, and PORT 0 binds an ephemeral port.
+struct ListenAddress {
+  enum class Kind { kUnix, kTcp };
+  Kind kind = Kind::kTcp;
+  std::string path;  // kUnix
+  std::string host;  // kTcp
+  int port = 0;      // kTcp; 0 = ephemeral
+};
+
+/// Parses a `--listen` spec: `unix:PATH` and `tcp:HOST:PORT` explicitly;
+/// without a prefix, anything containing '/' is a Unix path and
+/// `HOST:PORT` is TCP. kInvalidArgument otherwise (including non-numeric
+/// or out-of-range ports).
+Result<ListenAddress> ParseListenSpec(const std::string& spec);
+
+/// Renders an address back to spec form ("127.0.0.1:8731", "unix:/run/x").
+std::string ListenSpecString(const ListenAddress& address);
 
 struct DialOptions {
   /// Connect timeout. A refused or unreachable worker must fail `open`

@@ -3,18 +3,22 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <unordered_map>
 
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "util/histogram.h"
+#include "util/string_util.h"
 
 namespace rankhow {
 
@@ -23,6 +27,98 @@ namespace {
 /// The loop currently running on this thread, for Send()'s inline-flush
 /// fast path (a loop-thread Send skips the eventfd round trip).
 thread_local void* t_current_loop = nullptr;
+
+/// Binds and listens on `address`, returning the listening descriptor.
+/// Also ignores SIGPIPE process-wide (nothing in a server wants SIGPIPE
+/// semantics). On success `*bound` holds the address actually bound
+/// (ephemeral TCP port resolved via getsockname) and `*unlink_path` the
+/// Unix socket path to unlink after closing, or "" for TCP. A stale Unix
+/// path is unlinked before binding (the standard daemon idiom — a bound
+/// AF_UNIX path persists after exit).
+Result<int> OpenListenSocket(const ListenAddress& address,
+                             ListenAddress* bound,
+                             std::string* unlink_path) {
+  // Belt next to MSG_NOSIGNAL's suspenders: nothing in this process wants
+  // SIGPIPE semantics.
+  std::signal(SIGPIPE, SIG_IGN);
+
+  int fd = -1;
+  *bound = address;
+  unlink_path->clear();
+  if (address.kind == ListenAddress::Kind::kUnix) {
+    sockaddr_un sun;
+    std::memset(&sun, 0, sizeof(sun));
+    sun.sun_family = AF_UNIX;
+    if (address.path.size() >= sizeof(sun.sun_path)) {
+      return Status::Invalid(StrFormat(
+          "unix socket path longer than %d bytes: %s",
+          static_cast<int>(sizeof(sun.sun_path) - 1), address.path.c_str()));
+    }
+    std::memcpy(sun.sun_path, address.path.c_str(), address.path.size() + 1);
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) {
+      return Status::Unimplemented("unix sockets unavailable: " +
+                                   std::string(std::strerror(errno)));
+    }
+    ::unlink(address.path.c_str());  // stale path from a previous run
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&sun), sizeof(sun)) != 0) {
+      Status status = Status::IoError("bind(" + address.path +
+                                      "): " + std::strerror(errno));
+      ::close(fd);
+      return status;
+    }
+    *unlink_path = address.path;
+  } else {
+    sockaddr_in sin;
+    std::memset(&sin, 0, sizeof(sin));
+    sin.sin_family = AF_INET;
+    sin.sin_port = htons(static_cast<uint16_t>(address.port));
+    const std::string& host = address.host;
+    if (host.empty() || host == "*" || host == "0.0.0.0") {
+      sin.sin_addr.s_addr = htonl(INADDR_ANY);
+    } else if (host == "localhost") {
+      sin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    } else if (::inet_pton(AF_INET, host.c_str(), &sin.sin_addr) != 1) {
+      return Status::Invalid("bad --listen host '" + host +
+                             "' (IPv4 dotted quad, localhost, or empty)");
+    }
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) {
+      return Status::IoError("socket(AF_INET): " +
+                             std::string(std::strerror(errno)));
+    }
+    int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&sin), sizeof(sin)) != 0) {
+      Status status = Status::IoError("bind(" + ListenSpecString(address) +
+                                      "): " + std::strerror(errno));
+      ::close(fd);
+      return status;
+    }
+    // Report the kernel's choices (ephemeral port, concrete ANY address).
+    sockaddr_in actual;
+    socklen_t len = sizeof(actual);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&actual), &len) == 0) {
+      char text[INET_ADDRSTRLEN] = {0};
+      ::inet_ntop(AF_INET, &actual.sin_addr, text, sizeof(text));
+      bound->host = text;
+      bound->port = ntohs(actual.sin_port);
+    }
+  }
+  // Backlog sized for connection-storm benches (a thousand clients dialing
+  // at once must not see ECONNREFUSED); the kernel clamps to somaxconn.
+  if (::listen(fd, 1024) != 0) {
+    Status status =
+        Status::IoError("listen: " + std::string(std::strerror(errno)));
+    ::close(fd);
+    if (!unlink_path->empty()) {
+      ::unlink(unlink_path->c_str());
+      unlink_path->clear();
+    }
+    return status;
+  }
+  return fd;
+}
 
 }  // namespace
 

@@ -68,8 +68,8 @@
 #include <thread>
 #include <vector>
 
+#include "net/dial.h"
 #include "net/frame.h"
-#include "net/socket_server.h"
 #include "util/status.h"
 
 namespace rankhow {

@@ -1,7 +1,6 @@
 #include "server/wire.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <functional>
 #include <istream>
@@ -10,7 +9,6 @@
 #include <ostream>
 #include <utility>
 
-#include "net/fd_stream.h"
 #include "util/string_util.h"
 
 namespace rankhow {
@@ -28,20 +26,6 @@ void SplitHead(const std::string& line, std::string* head,
   }
   *head = line.substr(0, sep);
   *tail = std::string(Trim(line.substr(sep + 1)));
-}
-
-/// Folds FdStreamBuf's process-wide retry counter into the shared gauge
-/// (delta since the last fold), so `stats`/`metrics` report one
-/// writes_retried number covering both the reactor's partial sends and
-/// the buffered-stream helpers.
-void FoldStreamRetries(ServerMetrics* metrics) {
-  static std::atomic<uint64_t> folded{0};
-  const uint64_t total = FdStreamBuf::TotalWritesRetried();
-  uint64_t prev = folded.exchange(total, std::memory_order_relaxed);
-  if (total > prev) {
-    metrics->writes_retried.fetch_add(static_cast<int64_t>(total - prev),
-                                      std::memory_order_relaxed);
-  }
 }
 
 uint64_t ElapsedUsec(std::chrono::steady_clock::time_point start) {
@@ -168,6 +152,32 @@ std::string RewriteWireResponseLine(const std::string& response,
   while (end < response.size() && response[end] != ' ') ++end;
   return response.substr(0, begin) + std::to_string(line) +
          response.substr(end);
+}
+
+std::string WireParseError(int64_t line, const std::string& message) {
+  return StrFormat("err - wire line %lld: %s", static_cast<long long>(line),
+                   message.c_str());
+}
+
+std::string WireDeadlineAck(int64_t ms) {
+  return StrFormat("ok deadline %lld", static_cast<long long>(ms));
+}
+
+std::string WireFrameAck(bool binary) {
+  return binary ? "ok frame binary" : "ok frame text";
+}
+
+std::string WireUnknownClient(const std::string& client) {
+  return "err " + client + " no client named " + client +
+         " on this connection";
+}
+
+std::string WireDuplicateOpen(const std::string& client) {
+  return "err " + client + " client already open: " + client;
+}
+
+std::string WireFramingError(const std::string& error) {
+  return "err - " + error;
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +332,8 @@ void WireConnection::DoOpen(const WireRequest& request) {
       owned_.push_back(request.client);
     }
     Emit("ok " + *ack);
+  } else if (ack.status().code() == StatusCode::kAlreadyExists) {
+    Emit(WireDuplicateOpen(request.client));
   } else {
     Emit(StrFormat("err %s %s", request.client.c_str(),
                    ack.status().message().c_str()));
@@ -386,8 +398,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
   auto request = ParseWireLine(payload);
   if (!request.ok()) {
     if (request.status().code() == StatusCode::kNotFound) return;  // blank
-    Emit(StrFormat("err - wire line %d: %s", line_no,
-                   request.status().message().c_str()));
+    Emit(WireParseError(line_no, request.status().message()));
     return;
   }
   switch (request->kind) {
@@ -405,7 +416,6 @@ void WireConnection::HandleMessage(const std::string& payload) {
     }
     case WireRequest::Kind::kStats: {
       if (options_.metrics != nullptr) {
-        FoldStreamRetries(options_.metrics);
         Emit("ok stats " + backend_->stats_line() + " " +
              options_.metrics->RenderStatsFields());
       } else {
@@ -419,7 +429,6 @@ void WireConnection::HandleMessage(const std::string& payload) {
         Emit("err - metrics unavailable on this server");
         break;
       }
-      FoldStreamRetries(options_.metrics);
       Emit("ok metrics " + options_.metrics->RenderWireLine());
       RecordVerb(WireVerb::kMetrics, start);
       break;
@@ -430,7 +439,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
         std::lock_guard<std::mutex> lock(mu_);
         deadline_ms_ = ms;
       }
-      Emit(StrFormat("ok deadline %lld", static_cast<long long>(ms)));
+      Emit(WireDeadlineAck(ms));
       RecordVerb(WireVerb::kDeadline, start);
       break;
     }
@@ -442,8 +451,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
       // The ack travels in the OLD framing (a text-mode client reads a
       // plain "ok frame binary" line and only then starts length-prefix
       // parsing); everything queued after switch_mode is framed anew.
-      Emit(StrFormat("ok frame %s",
-                     request->frame_binary ? "binary" : "text"));
+      Emit(WireFrameAck(request->frame_binary));
       hooks_.switch_mode(request->frame_binary ? FrameMode::kBinary
                                                : FrameMode::kText);
       RecordVerb(WireVerb::kFrame, start);
@@ -463,8 +471,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
     }
     case WireRequest::Kind::kClose: {
       if (options_.connection_scoped_clients && !Owns(request->client)) {
-        Emit(StrFormat("err %s no client named %s on this connection",
-                       request->client.c_str(), request->client.c_str()));
+        Emit(WireUnknownClient(request->client));
         break;
       }
       auto work = [this, request = *request, start] {
@@ -480,8 +487,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
     }
     case WireRequest::Kind::kCommand: {
       if (options_.connection_scoped_clients && !Owns(request->client)) {
-        Emit(StrFormat("err %s no client named %s on this connection",
-                       request->client.c_str(), request->client.c_str()));
+        Emit(WireUnknownClient(request->client));
         break;
       }
       const int request_line = line_no;
@@ -550,7 +556,7 @@ ReactorCallbacks MakeReactorCallbacksImpl(
                                    const std::string& error) {
     // Best-effort last word before the abort-close; a length-prefixed
     // stream cannot resync, so no recovery is offered.
-    (void)conn.Send("err - " + error);
+    (void)conn.Send(WireFramingError(error));
   };
   callbacks.on_close = [](ReactorConn& conn, CloseReason reason) {
     auto* wire = static_cast<WireConnection*>(conn.user());

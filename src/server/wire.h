@@ -150,6 +150,18 @@ Result<WireResponseTag> ParseWireResponseTag(const std::string& response);
 std::string RewriteWireResponseLine(const std::string& response,
                                     int64_t line);
 
+/// Responses a proxy answers itself because they depend on per-stream
+/// state (line numbers, the deadline, framing, the clients a connection
+/// opened). WireConnection and the coordinator both format them here, so
+/// a proxied stream gets the worker's exact bytes.
+std::string WireParseError(int64_t line, const std::string& message);
+std::string WireDeadlineAck(int64_t ms);
+std::string WireFrameAck(bool binary);
+std::string WireUnknownClient(const std::string& client);
+std::string WireDuplicateOpen(const std::string& client);
+/// The best-effort last word before a framing-error abort-close.
+std::string WireFramingError(const std::string& error);
+
 /// What the wire layer needs from a serving backend. MakeWireBackend
 /// builds one over a SessionRegistry or a RegistryRouter; the protocol
 /// machine itself is backend-agnostic, so the single-dataset and routed

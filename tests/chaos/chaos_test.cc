@@ -1038,15 +1038,24 @@ std::optional<std::string> OpenEditSolve(WireClient* client,
   return client->ReadLine();
 }
 
-/// Polls until <warm-dir>/warm.cache is non-empty. The proven winner is
-/// persisted by a background writer thread; a SIGKILL test must wait for
-/// the record to actually land, or it would (correctly!) observe that an
-/// unwritten record does not survive death.
-bool WaitForCacheRecord(const std::string& cache_file,
-                        int timeout_ms = 10000) {
+/// Polls the server's `stats` line until every resident warm-cache entry
+/// is on disk (cache_appended >= cache_entries >= 1). Proven winners are
+/// persisted by a background writer thread, and every session edit
+/// re-solves and publishes its own record, so a SIGKILL test must wait for
+/// all of them to land — or it would (correctly!) observe that an
+/// unwritten record does not survive death. The barrier holds because the
+/// cache directory starts empty (nothing is loaded) and these scripts
+/// never improve a re-proven entry: each resident entry is one completed
+/// write(), and a completed write survives SIGKILL.
+bool WaitForCacheFlush(WireClient* client, int timeout_ms = 30000) {
   for (int waited = 0; waited < timeout_ms; waited += 20) {
-    struct stat st;
-    if (::stat(cache_file.c_str(), &st) == 0 && st.st_size > 0) return true;
+    if (!client->Send("stats\n")) return false;
+    auto stats = client->ReadLine();
+    if (!stats.has_value()) return false;
+    const long entries = ParseLongField(*stats, "cache_entries");
+    if (entries >= 1 && ParseLongField(*stats, "cache_appended") >= entries) {
+      return true;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return false;
@@ -1088,8 +1097,8 @@ TEST(ChaosKillTest, RestartAfterKillWarmStartsFromCacheWithIdenticalError) {
     ASSERT_GE(cold_error, 0) << *solved;
     ASSERT_GE(cold_nodes, 0) << *solved;
 
-    ASSERT_TRUE(WaitForCacheRecord(rig.CacheFile()))
-        << "proven winner never reached " << rig.CacheFile();
+    ASSERT_TRUE(WaitForCacheFlush(&client))
+        << "proven winners never all reached " << rig.CacheFile();
     server.Kill();
   }
 
@@ -1168,7 +1177,7 @@ TEST(ChaosKillTest, CorruptedWarmCacheDegradesLoudlyWithoutChangingResults) {
     auto solved = OpenEditSolve(&client, edits, /*expect_recovered=*/false);
     ASSERT_TRUE(solved.has_value());
     EXPECT_EQ(ParseErrorField(*solved), want_error) << *solved;
-    ASSERT_TRUE(WaitForCacheRecord(rig.CacheFile()));
+    ASSERT_TRUE(WaitForCacheFlush(&client));
     server.Kill();
   }
 

@@ -18,6 +18,8 @@
 //  * The docs/PROTOCOL.md conformance walk (tests/support) replayed
 //    through the coordinator — byte-identical behavior to a direct
 //    worker, modulo worker-side transport gauges.
+//  * Backpressure: a client that pipelines locally-answered requests and
+//    never reads is abort-closed; a sibling connection is still served.
 //
 // SIGKILL-based coordinator failover lives in tests/chaos (chaos label);
 // this suite keeps everything in-process so it can run under tsan.
@@ -36,7 +38,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
+
+#include <cerrno>
 
 #include <gtest/gtest.h>
 
@@ -47,7 +52,6 @@
 #include "core/solve_session.h"
 #include "net/dial.h"
 #include "net/reactor.h"
-#include "net/socket_server.h"
 #include "server/registry_router.h"
 #include "server/wire.h"
 #include "tests/support/protocol_conformance.h"
@@ -257,16 +261,18 @@ class FakeWorker {
 
   void Stop() {
     stopping_.store(true);
-    if (listen_fd_ >= 0) {
-      ::shutdown(listen_fd_, SHUT_RDWR);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
+    // Close the listener only after the accept thread, which reads
+    // listen_fd_, has been joined.
+    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (int fd : conns_) ::shutdown(fd, SHUT_RDWR);
     }
     if (accept_thread_.joinable()) accept_thread_.join();
+    if (listen_fd_ >= 0) {
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+    }
     for (std::thread& t : conn_threads_) {
       if (t.joinable()) t.join();
     }
@@ -670,6 +676,67 @@ TEST(CoordTest, ProtocolConformanceWalkPassesThroughTheCoordinator) {
   conformance::ConformanceOptions options;
   options.exact_transport_gauges = false;
   conformance::RunProtocolVerbWalk(coord.endpoint, options);
+}
+
+TEST(CoordTest, StalledReaderIsAbortClosedAndSiblingsKeepBeingServed) {
+  // `deadline` is answered by the coordinator itself, so no worker is
+  // ever dialed. One client pipelines ~400k of them and reads nothing:
+  // the answers (14 bytes each) outgrow the 4 MiB connection buffer, and
+  // the connection must be abort-closed rather than park the coordinator
+  // in send() for good.
+  auto map = ShardMap::Parse("127.0.0.1:1", "");
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  CoordServer coord(*std::move(map), CoordOptions());
+  ListenAddress listen;
+  listen.kind = ListenAddress::Kind::kUnix;
+  listen.path = testing::TempDir() + "rankhow_coord_stall.sock";
+  Status started = coord.Start(listen);
+  if (!started.ok()) {
+    GTEST_SKIP() << "unix sockets unavailable: " << started.ToString();
+  }
+
+  constexpr int kLines = 400000;
+  LineClient staller;
+  DialOptions dial;
+  dial.recv_timeout_s = 20;  // a read that waits this long saw no close
+  ASSERT_TRUE(staller.Connect(coord.bound(), dial).ok());
+  // A coordinator that stops reading must fail this test, not hang it.
+  timeval send_timeout{10, 0};
+  ASSERT_EQ(::setsockopt(staller.fd(), SOL_SOCKET, SO_SNDTIMEO,
+                         &send_timeout, sizeof(send_timeout)),
+            0);
+  std::string flood;
+  for (int i = 0; i < kLines; ++i) flood += "deadline 1\n";
+  // The send fails partway once the coordinator abort-closes — the
+  // expected outcome, so its result is deliberately ignored.
+  (void)staller.Send(flood);
+
+  // Drain what reached the socket: the close shows up as EOF or a reset,
+  // never as the receive timeout.
+  long long answers = 0;
+  bool closed = false;
+  char chunk[65536];
+  for (;;) {
+    const ssize_t n = ::recv(staller.fd(), chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      for (ssize_t i = 0; i < n; ++i) answers += chunk[i] == '\n';
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    closed = n == 0 || errno == ECONNRESET || errno == EPIPE;
+    break;
+  }
+  EXPECT_TRUE(closed) << "stalled reader was never closed (" << answers
+                      << " answers read)";
+  EXPECT_LT(answers, kLines) << "every answer arrived: nothing was shed";
+
+  LineClient sibling;
+  ASSERT_TRUE(sibling.Connect(coord.bound()).ok());
+  ASSERT_TRUE(sibling.SendLine("deadline 5"));
+  auto ack = sibling.ReadLine();
+  ASSERT_TRUE(ack.has_value()) << "sibling not served after the abort";
+  EXPECT_EQ(*ack, "ok deadline 5");
+  coord.Stop();
 }
 
 }  // namespace

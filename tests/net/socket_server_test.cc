@@ -45,9 +45,9 @@
 
 #include "app/cli_driver.h"
 #include "core/solve_session.h"
+#include "net/dial.h"
 #include "net/frame.h"
 #include "net/reactor.h"
-#include "net/socket_server.h"
 #include "server/registry_router.h"
 #include "server/wire.h"
 #include "tests/support/protocol_conformance.h"

@@ -16,7 +16,7 @@
 ///
 /// All assertions are GTest EXPECT/ASSERT; call from inside a TEST.
 
-#include "net/socket_server.h"
+#include "net/dial.h"
 
 namespace rankhow {
 namespace conformance {
