@@ -74,8 +74,8 @@ echo "== tsan cache gate: warm-start cache suite, explicitly =="
 (cd build-tsan && ctest --output-on-failure -L cache)
 
 echo "== tsan coord gate: shard coordinator suite, explicitly =="
-# The coordinator's reactor loops and ops thread race upstream reader
-# threads, the health prober, and the failover replay path; the -L coord
+# The coordinator's reactor loops and ops thread race upstream reader and
+# writer threads, the health prober, and the failover replay path; the -L coord
 # run makes that gate visible in the log. (Kill-based failover lives in
 # tests/chaos and rides the asan chaos gate below.)
 (cd build-tsan && ctest --output-on-failure -L coord)

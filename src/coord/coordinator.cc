@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,11 +15,8 @@ namespace rankhow {
 
 namespace {
 
-/// How long a command waits for failover to rebind its session before
-/// giving up with a clean error (covers one dial plus probe slack).
-constexpr std::chrono::milliseconds kForwardRetry{8000};
-/// Bound on the graceful quit drain (mirrors the reactor's
-/// drain_deadline_seconds).
+/// Bound on the graceful quit drain: upstreams still owing responses
+/// then break, which answers what they owed.
 constexpr std::chrono::milliseconds kQuitDrain{30000};
 /// Session::worker while a failover picks its replacement.
 constexpr int kRebinding = -1;
@@ -88,7 +83,8 @@ class CoordServer::Downstream
   Downstream& operator=(const Downstream&) = delete;
 
   /// Loop thread: one decoded request. Never dials or waits on a worker;
-  /// work that would is handed to conn_->Defer.
+  /// a dial or round trip is handed to conn_->Defer, and nothing else
+  /// waits at all.
   void HandleLine(const std::string& payload);
   /// Ops thread, once, after the connection closed.
   void Cleanup();
@@ -102,6 +98,9 @@ class CoordServer::Downstream
     bool open_acked = false;
     bool recovered_pending = false;  ///< failed over; next open adopts
     std::vector<std::string> acked_edits;  ///< ok-acked edit lines, in order
+    /// Entries that arrived while the worker's connection was dead or
+    /// being replaced; the failover forwards them after its replay.
+    std::vector<ProxyEntry> queued;
   };
 
   void HandleOpen(int64_t line_no, const WireRequest& request);
@@ -109,9 +108,6 @@ class CoordServer::Downstream
   void OpenWithDial(int64_t line_no, const WireRequest& request);
   void HandleSessionVerb(int64_t line_no, const WireRequest& request,
                          const std::string& payload);
-  /// Deferred: waits out a failover rebind of `entry`'s session, then
-  /// forwards it, or answers a clean error.
-  void AwaitRebind(const ProxyEntry& entry);
   void HandleDeadline(int64_t ms);
   /// Deferred: `stats`/`metrics` over every up worker, merged.
   void HandleScatter(bool metrics);
@@ -129,9 +125,9 @@ class CoordServer::Downstream
   /// False when `up` died first (the caller re-routes). Under mu_.
   bool ForwardOpenLocked(int64_t line_no, const WireRequest& request,
                          int worker, const std::shared_ptr<UpstreamConn>& up);
-  /// Forwards `entry` to its session's current worker. False when the
-  /// session is gone or its worker's connection is dead. Under mu_.
-  bool ForwardToSessionLocked(const ProxyEntry& entry);
+  /// After a quit, once no response is owed: `ok quit`, then close.
+  /// Under mu_, so no response can be emitted after it.
+  void FinishQuitIfDrainedLocked();
 
   void Emit(const std::string& payload) { (void)conn_->Send(payload); }
 
@@ -140,16 +136,17 @@ class CoordServer::Downstream
   /// through it after on_close (Send then drops the message).
   std::shared_ptr<ReactorConn> conn_;
   int64_t line_no_ = 0;  ///< loop thread only
+  bool quit_ = false;    ///< loop thread only: later input is dropped
 
   // Proxy state shared with upstream reader threads and deferred work.
   std::mutex mu_;
-  std::condition_variable drain_cv_;
   std::map<std::string, Session> sessions_;
   std::map<int, std::shared_ptr<UpstreamConn>> upstreams_;
-  int64_t inflight_ = 0;  ///< forwarded entries awaiting a response
+  int64_t inflight_ = 0;  ///< forwarded or queued entries owed a response
   int64_t deadline_ms_ = 0;
   bool deadline_set_ = false;
   bool ended_ = false;  ///< quit or teardown: drop, don't fail over
+  bool quit_pending_ = false;  ///< `ok quit` waits for inflight_ == 0
 };
 
 void CoordServer::Downstream::Cleanup() {
@@ -168,6 +165,7 @@ void CoordServer::Downstream::Cleanup() {
 }
 
 void CoordServer::Downstream::HandleLine(const std::string& payload) {
+  if (quit_) return;  // late pipelined input after quit, as on workers
   const int64_t line_no = ++line_no_;
   Result<WireRequest> request = ParseWireLine(payload);
   if (!request.ok()) {
@@ -246,17 +244,6 @@ void CoordServer::Downstream::HandleOpen(int64_t line_no,
     Emit(reply);
     return;
   }
-  // Fast path: the routed worker already has a live upstream here.
-  Result<int> route = server_->shard_map_.Route(
-      request.dataset,
-      [this](int i) { return server_->supervisor_->IsAlive(i); });
-  if (route.ok()) {
-    auto up = upstreams_.find(*route);
-    if (up != upstreams_.end() && !up->second->failed() &&
-        ForwardOpenLocked(line_no, request, *route, up->second)) {
-      return;  // the worker's ack flows back through OnUpstreamResponse
-    }
-  }
   lock.unlock();
   auto self = shared_from_this();
   conn_->Defer(
@@ -319,12 +306,14 @@ void CoordServer::Downstream::HandleSessionVerb(int64_t line_no,
                                                 const WireRequest& request,
                                                 const std::string& payload) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (sessions_.find(request.client) == sessions_.end()) {
+  auto it = sessions_.find(request.client);
+  if (it == sessions_.end()) {
     server_->c_local_errors_.fetch_add(1);
     lock.unlock();
     Emit(WireUnknownClient(request.client));
     return;
   }
+  Session& session = it->second;
   ProxyEntry entry;
   entry.client = request.client;
   entry.downstream_line = line_no;
@@ -337,56 +326,15 @@ void CoordServer::Downstream::HandleSessionVerb(int64_t line_no,
     entry.is_edit = request.command.kind != SessionCommand::Kind::kSolve;
     server_->c_commands_proxied_.fetch_add(1);
   }
-  if (ForwardToSessionLocked(entry)) return;
-  // The bound worker's connection is dead or dying: failover (on the
-  // broken reader's thread) will rebind the session; wait it out off the
-  // loop, with this connection's input paused so order holds.
-  lock.unlock();
-  auto self = shared_from_this();
-  conn_->Defer([self, entry] { self->AwaitRebind(entry); });
-}
-
-bool CoordServer::Downstream::ForwardToSessionLocked(
-    const ProxyEntry& entry) {
-  auto it = sessions_.find(entry.client);
-  if (it == sessions_.end()) return false;
-  auto up = upstreams_.find(it->second.worker);
-  if (up == upstreams_.end() || up->second->failed() ||
-      !up->second->Forward(entry)) {
-    return false;
-  }
   ++inflight_;
-  return true;
-}
-
-void CoordServer::Downstream::AwaitRebind(const ProxyEntry& entry) {
-  const auto deadline = std::chrono::steady_clock::now() + kForwardRetry;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (sessions_.find(entry.client) == sessions_.end()) {
-      // The session died mid-wait (failover found no replacement).
-      server_->c_local_errors_.fetch_add(1);
-      lock.unlock();
-      Emit(WireUnknownClient(entry.client));
-      return;
-    }
-    if (ForwardToSessionLocked(entry)) return;
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    lock.unlock();
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    lock.lock();
+  if (session.queued.empty()) {
+    auto up = upstreams_.find(session.worker);
+    if (up != upstreams_.end() && up->second->Forward(entry)) return;
   }
-  server_->c_local_errors_.fetch_add(1);
-  lock.unlock();
-  if (entry.kind == ProxyEntry::Kind::kCommand) {
-    Emit(StrFormat("err %s line=%d worker unavailable: failover did not "
-                   "complete",
-                   entry.client.c_str(),
-                   static_cast<int>(entry.downstream_line)));
-  } else {
-    Emit("err " + entry.client +
-         " worker unavailable: failover did not complete");
-  }
+  // The bound worker's connection is dead or dying (or a failover holds
+  // the session): its on_broken replays the session and then forwards
+  // the queue, so order holds without waiting here.
+  session.queued.push_back(std::move(entry));
 }
 
 std::shared_ptr<UpstreamConn> CoordServer::Downstream::UpstreamFor(
@@ -439,73 +387,74 @@ std::shared_ptr<UpstreamConn> CoordServer::Downstream::UpstreamFor(
 void CoordServer::Downstream::OnUpstreamResponse(const ProxyEntry& entry,
                                                  const std::string& response) {
   const bool ok = StartsWith(response, "ok ");
-  std::string out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --inflight_;
-    drain_cv_.notify_all();
-    if (entry.swallow) {
-      if (!ok && entry.kind != ProxyEntry::Kind::kClose) {
-        server_->c_replay_errors_.fetch_add(1);
-        std::fprintf(stderr,
-                     "rankhow_coord: swallowed %s failed: %s\n",
-                     entry.payload.c_str(), response.c_str());
+  // Emits under mu_, so a pending `ok quit` can never overtake them.
+  std::lock_guard<std::mutex> lock(mu_);
+  --inflight_;
+  if (entry.swallow) {
+    if (!ok && entry.kind != ProxyEntry::Kind::kClose) {
+      server_->c_replay_errors_.fetch_add(1);
+      std::fprintf(stderr, "rankhow_coord: swallowed %s failed: %s\n",
+                   entry.payload.c_str(), response.c_str());
+    }
+    if (ok && entry.kind == ProxyEntry::Kind::kOpen) {
+      // Replayed open: refresh the bound dataset from the new ack.
+      auto it = sessions_.find(entry.client);
+      std::vector<std::string> tokens = Split(response, ' ');
+      if (it != sessions_.end() && tokens.size() >= 4) {
+        it->second.bound_dataset = tokens[3];
       }
-      if (ok && entry.kind == ProxyEntry::Kind::kOpen) {
-        // Replayed open: refresh the bound dataset from the new ack.
+    }
+    FinishQuitIfDrainedLocked();
+    return;
+  }
+  std::string out = response;
+  bool session_ended = false;
+  switch (entry.kind) {
+    case ProxyEntry::Kind::kCommand: {
+      if (ok && entry.is_edit) {
         auto it = sessions_.find(entry.client);
+        if (it != sessions_.end()) {
+          it->second.acked_edits.push_back(entry.payload);
+        }
+      }
+      out = RewriteWireResponseLine(response, entry.downstream_line);
+      break;
+    }
+    case ProxyEntry::Kind::kOpen: {
+      auto it = sessions_.find(entry.client);
+      if (ok && it != sessions_.end()) {
         std::vector<std::string> tokens = Split(response, ' ');
-        if (it != sessions_.end() && tokens.size() >= 4) {
-          it->second.bound_dataset = tokens[3];
-        }
+        it->second.bound_dataset = tokens.size() >= 4 ? tokens[3] : "";
+        it->second.open_acked = true;
       }
-      return;
+      session_ended = !ok;
+      break;
     }
-    switch (entry.kind) {
-      case ProxyEntry::Kind::kCommand: {
-        if (ok && entry.is_edit) {
-          auto it = sessions_.find(entry.client);
-          if (it != sessions_.end()) {
-            it->second.acked_edits.push_back(entry.payload);
-          }
-        }
-        out = RewriteWireResponseLine(response, entry.downstream_line);
-        break;
-      }
-      case ProxyEntry::Kind::kOpen: {
-        auto it = sessions_.find(entry.client);
-        if (ok && it != sessions_.end()) {
-          std::vector<std::string> tokens = Split(response, ' ');
-          it->second.bound_dataset = tokens.size() >= 4 ? tokens[3] : "";
-          it->second.open_acked = true;
-        } else if (!ok) {
-          sessions_.erase(entry.client);
-        }
-        out = response;
-        break;
-      }
-      case ProxyEntry::Kind::kClose: {
-        if (ok) sessions_.erase(entry.client);
-        out = response;
-        break;
-      }
-      case ProxyEntry::Kind::kDeadline:
-        out = response;  // unreachable: deadlines are always swallowed
-        break;
-    }
+    case ProxyEntry::Kind::kClose:
+      session_ended = ok;
+      break;
+    case ProxyEntry::Kind::kDeadline:
+      break;  // unreachable: deadlines are always swallowed
   }
   Emit(out);
+  auto it = sessions_.find(entry.client);
+  if (session_ended && it != sessions_.end()) {
+    // Entries queued behind a dead connection now meet no session: the
+    // worker would answer them so.
+    for (size_t i = 0; i < it->second.queued.size(); ++i) {
+      --inflight_;
+      Emit(WireUnknownClient(entry.client));
+    }
+    sessions_.erase(it);
+  }
+  FinishQuitIfDrainedLocked();
 }
 
 void CoordServer::Downstream::OnUpstreamBroken(
     int worker, UpstreamConn* conn, std::vector<ProxyEntry> unacked) {
-  // Probe before locking: confirms the death (marks the worker down so
-  // routing skips it) without stalling response forwarding.
-  server_->supervisor_->ReportFailure(worker);
-
   // 1. Under the lock: take the broken connection out, sort its unacked
   //    tail by client, and park the sessions bound to it (their new
-  //    commands wait in AwaitRebind until step 3 rebinds them).
+  //    commands queue on the session until step 3 rebinds them).
   std::map<std::string, std::vector<ProxyEntry>> pending_by_client;
   std::vector<std::pair<std::string, std::string>> affected;  // client, key
   {
@@ -515,8 +464,15 @@ void CoordServer::Downstream::OnUpstreamBroken(
       upstreams_.erase(uit);
     }
     if (ended_) {
-      inflight_ -= static_cast<int64_t>(unacked.size());
-      drain_cv_.notify_all();
+      // Quit or teardown: what this worker owed is dropped, not replayed.
+      int64_t dropped = static_cast<int64_t>(unacked.size());
+      for (auto& [client, session] : sessions_) {
+        if (session.worker != worker) continue;
+        dropped += static_cast<int64_t>(session.queued.size());
+        session.queued.clear();
+      }
+      inflight_ -= dropped;
+      FinishQuitIfDrainedLocked();
       return;
     }
     // Swallowed entries don't replay from here: deadlines are re-seeded
@@ -539,6 +495,9 @@ void CoordServer::Downstream::OnUpstreamBroken(
     }
     if (!affected.empty()) server_->c_failovers_.fetch_add(1);
   }
+  // Confirms the death (marks the worker down so routing skips it)
+  // without holding mu_, so response forwarding never stalls on it.
+  server_->supervisor_->ReportFailure(worker);
 
   // 2. Without the lock: route each parked session past the dead worker
   //    and dial its replacement.
@@ -575,16 +534,21 @@ void CoordServer::Downstream::OnUpstreamBroken(
   // 3. Under the lock again: rebuild each session on its replacement.
   const std::string dead_spec =
       server_->shard_map_.workers()[static_cast<size_t>(worker)].spec;
-  std::vector<std::string> emits;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [client, dataset] : affected) {
       auto sit = sessions_.find(client);
-      // Ended meanwhile: the pending entries are answered as orphans.
-      if (ended_ || sit == sessions_.end()) continue;
+      if (sit == sessions_.end()) continue;
       Session& session = sit->second;
-      Rebind& rebind = rebinds[client];
       std::vector<ProxyEntry>& pending = pending_by_client[client];
+      // What arrived during the failover follows the unacked tail.
+      for (ProxyEntry& entry : session.queued) {
+        pending.push_back(std::move(entry));
+      }
+      session.queued.clear();
+      // Ended meanwhile: the pending entries are answered as orphans.
+      if (ended_) continue;
+      Rebind& rebind = rebinds[client];
       if (rebind.conn != nullptr && rebind.conn->failed()) {
         rebind.conn = nullptr;
         rebind.why = "replacement died";
@@ -594,13 +558,13 @@ void CoordServer::Downstream::OnUpstreamBroken(
         for (ProxyEntry& entry : pending) {
           --inflight_;
           if (entry.kind == ProxyEntry::Kind::kCommand) {
-            emits.push_back(StrFormat(
+            Emit(StrFormat(
                 "err %s line=%d worker %s died: %s", client.c_str(),
                 static_cast<int>(entry.downstream_line), dead_spec.c_str(),
                 rebind.why.c_str()));
           } else {
-            emits.push_back("err " + client + " worker " + dead_spec +
-                            " died: " + rebind.why);
+            Emit("err " + client + " worker " + dead_spec +
+                 " died: " + rebind.why);
           }
         }
         pending.clear();
@@ -642,7 +606,7 @@ void CoordServer::Downstream::OnUpstreamBroken(
           // The replacement died inside the same failover; its own
           // on_broken cannot know this entry, so fail it here.
           --inflight_;
-          emits.push_back(StrFormat(
+          Emit(StrFormat(
               "err %s line=%d worker unavailable: replacement died",
               client.c_str(), static_cast<int>(entry.downstream_line)));
         }
@@ -660,19 +624,16 @@ void CoordServer::Downstream::OnUpstreamBroken(
       for (ProxyEntry& entry : pending) {
         --inflight_;
         if (entry.kind == ProxyEntry::Kind::kCommand) {
-          emits.push_back(StrFormat("err %s line=%d worker %s died",
-                                    client.c_str(),
-                                    static_cast<int>(entry.downstream_line),
-                                    dead_spec.c_str()));
+          Emit(StrFormat("err %s line=%d worker %s died", client.c_str(),
+                         static_cast<int>(entry.downstream_line),
+                         dead_spec.c_str()));
         } else {
-          emits.push_back("err " + client + " worker " + dead_spec +
-                          " died");
+          Emit("err " + client + " worker " + dead_spec + " died");
         }
       }
     }
-    drain_cv_.notify_all();
+    FinishQuitIfDrainedLocked();
   }
-  for (const std::string& message : emits) Emit(message);
 }
 
 void CoordServer::Downstream::HandleScatter(bool metrics) {
@@ -719,36 +680,36 @@ void CoordServer::Downstream::HandleScatter(bool metrics) {
 }
 
 void CoordServer::Downstream::HandleQuit() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Graceful drain: ask each worker to close its clients (their queued
-    // commands finish and answer first — the worker's own close
-    // semantics) and hold `ok quit` until every in-flight response came
-    // back.
-    for (auto& [client, session] : sessions_) {
-      auto up = upstreams_.find(session.worker);
-      if (up == upstreams_.end() || up->second->failed()) continue;
-      ProxyEntry entry;
-      entry.kind = ProxyEntry::Kind::kClose;
-      entry.payload = "close " + client;
-      entry.client = client;
-      entry.swallow = true;
-      if (up->second->Forward(std::move(entry))) ++inflight_;
-    }
-    ended_ = true;
+  quit_ = true;
+  std::lock_guard<std::mutex> lock(mu_);
+  // Graceful drain: ask each worker to close its clients (their queued
+  // commands finish and answer first — the worker's own close semantics)
+  // and hold `ok quit` until every in-flight response came back. A
+  // session mid-failover is answered by the failover instead.
+  for (auto& [client, session] : sessions_) {
+    auto up = upstreams_.find(session.worker);
+    if (!session.queued.empty() || up == upstreams_.end()) continue;
+    ProxyEntry entry;
+    entry.kind = ProxyEntry::Kind::kClose;
+    entry.payload = "close " + client;
+    entry.client = client;
+    entry.swallow = true;
+    if (up->second->Forward(std::move(entry))) ++inflight_;
   }
-  auto self = shared_from_this();
-  conn_->Defer([self] {
-    {
-      std::unique_lock<std::mutex> lock(self->mu_);
-      self->drain_cv_.wait_for(lock, kQuitDrain,
-                               [&self] { return self->inflight_ == 0; });
-      self->sessions_.clear();
-    }
-    self->Emit("ok quit");
-    // Input stays paused: the reactor never resumes a closing connection.
-    self->conn_->Close();
-  });
+  ended_ = true;
+  quit_pending_ = true;
+  const auto deadline = std::chrono::steady_clock::now() + kQuitDrain;
+  for (auto& [worker, conn] : upstreams_) conn->BreakAt(deadline);
+  FinishQuitIfDrainedLocked();
+}
+
+void CoordServer::Downstream::FinishQuitIfDrainedLocked() {
+  if (!quit_pending_ || inflight_ > 0) return;
+  quit_pending_ = false;
+  sessions_.clear();
+  Emit("ok quit");
+  // The reactor stops reading a closing connection.
+  conn_->Close();
 }
 
 // ---------------------------------------------------------------------------

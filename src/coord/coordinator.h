@@ -14,12 +14,12 @@
 /// served by a ReactorServer (net/reactor.h) with the proxy as its handler,
 /// so a coordinator connection gets the worker's framing, write
 /// backpressure and deferred-op discipline. Besides the reactor's threads
-/// there is one detached reader thread per upstream connection
+/// there is a reader and a writer thread per upstream connection
 /// (coord/upstream.h, tracked by a ThreadGate so Stop() waits for them)
 /// and the supervisor's probe thread (coord/health.h). Event loops never
-/// dial or wait on a worker: an open that must dial, the `stats`/`metrics`
-/// scatter-gather, the wait for a failover rebind and the `quit` drain
-/// run deferred on the reactor's ops thread.
+/// dial or wait on a worker: forwarding queues instead of blocking, `open`
+/// and the `stats`/`metrics` scatter-gather run deferred on the reactor's
+/// ops thread, and the `quit` drain waits on no thread at all.
 ///
 /// Transparency contract, in brief:
 ///   * parse errors, unknown-client, duplicate-open, `deadline`, and

@@ -1,7 +1,9 @@
 #include "coord/upstream.h"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -10,6 +12,17 @@
 #include "server/wire.h"
 
 namespace rankhow {
+
+namespace {
+
+/// Unsent bytes an upstream may hold before its worker counts as stalled:
+/// the bound the reactor puts on a client's write queue.
+constexpr size_t kMaxBacklog = 4u << 20;
+/// Longest one blocking send() of the writer lasts before it re-checks
+/// BreakAt, so a drain deadline fires even while the socket stays full.
+constexpr timeval kSendSlice{0, 250000};
+
+}  // namespace
 
 void ThreadGate::Enter() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -41,9 +54,12 @@ Result<std::shared_ptr<UpstreamConn>> UpstreamConn::Dial(
   options.recv_timeout_s = 0;
   std::shared_ptr<UpstreamConn> conn(new UpstreamConn(worker));
   RH_RETURN_NOT_OK(conn->client_.Connect(worker.address, options));
+  (void)::setsockopt(conn->client_.fd(), SOL_SOCKET, SO_SNDTIMEO,
+                     &kSendSlice, sizeof(kSendSlice));
   conn->callbacks_ = std::move(callbacks);
   conn->gate_ = gate;
   if (gate != nullptr) gate->Enter();
+  conn->writer_ = std::thread([raw = conn.get()] { raw->WriterLoop(); });
   std::thread([conn] { conn->ReaderLoop(); }).detach();
   return conn;
 }
@@ -53,13 +69,95 @@ bool UpstreamConn::Forward(ProxyEntry entry) {
   if (failed_) return false;
   const int64_t seq = ++seq_;
   if (entry.kind != ProxyEntry::Kind::kCommand) verb_order_.push_back(seq);
+  const std::string line = entry.payload + "\n";
   // Record before sending: if the send itself breaks the connection the
   // entry must already be in the unacked tail that on_broken replays.
   pending_.emplace(seq, std::move(entry));
-  if (!client_.SendLine(pending_[seq].payload)) {
-    failed_ = true;  // reader sees the same death and fires on_broken
+  size_t sent = 0;
+  if (outbox_.empty() && !writing_) {
+    const ssize_t n = ::send(client_.fd(), line.data(), line.size(),
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      sent = static_cast<size_t>(n);
+    } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+               errno != EINTR) {
+      BreakLocked(nullptr);
+      return true;
+    }
   }
+  if (sent == line.size()) return true;
+  // The socket is full: the writer thread takes over from here.
+  outbox_.append(line, sent, std::string::npos);
+  if (outbox_.size() > kMaxBacklog) {
+    BreakLocked("worker stopped reading");
+    return true;
+  }
+  writer_cv_.notify_one();
   return true;
+}
+
+void UpstreamConn::BreakAt(std::chrono::steady_clock::time_point deadline) {
+  std::lock_guard<std::mutex> lock(mu_);
+  break_at_ = deadline;
+  writer_cv_.notify_one();
+}
+
+void UpstreamConn::BreakLocked(const char* why) {
+  if (failed_) return;
+  failed_ = true;
+  outbox_.clear();
+  if (why != nullptr) {
+    std::fprintf(stderr, "rankhow_coord: breaking connection to %s: %s\n",
+                 worker_.spec.c_str(), why);
+  }
+  if (client_.connected()) ::shutdown(client_.fd(), SHUT_RDWR);
+}
+
+void UpstreamConn::WriterLoop() {
+  const auto deadline_passed = [this] {
+    return break_at_.has_value() &&
+           std::chrono::steady_clock::now() >= *break_at_;
+  };
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!closed_) {
+    if (!failed_ && deadline_passed()) BreakLocked("drain deadline passed");
+    if (failed_ || outbox_.empty()) {
+      if (!failed_ && break_at_.has_value()) {
+        writer_cv_.wait_until(lock, *break_at_);
+      } else {
+        writer_cv_.wait(lock);
+      }
+      continue;
+    }
+    std::string batch;
+    batch.swap(outbox_);
+    writing_ = true;
+    const int fd = client_.fd();
+    lock.unlock();
+    size_t off = 0;
+    bool broken = false;
+    while (off < batch.size()) {
+      const ssize_t n =
+          ::send(fd, batch.data() + off, batch.size() - off, MSG_NOSIGNAL);
+      if (n > 0) {
+        off += static_cast<size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+          errno != EINTR) {
+        broken = true;
+        break;
+      }
+      // A send slice passed with the worker not reading.
+      lock.lock();
+      const bool stop = failed_ || closed_ || deadline_passed();
+      lock.unlock();
+      if (stop) break;  // the loop head breaks on a passed deadline
+    }
+    lock.lock();
+    writing_ = false;
+    if (broken) BreakLocked(nullptr);
+  }
 }
 
 int64_t UpstreamConn::Pending() const {
@@ -171,6 +269,14 @@ void UpstreamConn::ReaderLoop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     notify = !shutdown_;
+    closed_ = true;
+    // Wakes a writer blocked in send(); it exits before the close below.
+    if (client_.connected()) ::shutdown(client_.fd(), SHUT_RDWR);
+  }
+  writer_cv_.notify_all();
+  writer_.join();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     client_.Close();
   }
   if (notify) {

@@ -25,7 +25,14 @@
 /// for that client is charged. Either way the payload is forwarded to
 /// the downstream verbatim, so a misattribution under shedding costs
 /// bookkeeping accuracy, never protocol bytes.
+///
+/// Forward never blocks: coordinator event loops call it. A line goes
+/// straight to the socket when it has room; otherwise it joins an outbox
+/// that the connection's writer thread flushes. A worker that leaves
+/// more than 4 MiB unread counts as stalled and its connection breaks,
+/// as if it had died, so the failover machinery takes over.
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -33,7 +40,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coord/shard_map.h"
@@ -71,7 +80,7 @@ struct ProxyEntry {
 };
 
 /// A session-traffic connection to one worker. Forward() records the
-/// entry and writes its payload; a detached reader thread matches each
+/// entry and queues its payload; a detached reader thread matches each
 /// worker response back to its entry and runs on_response (line numbers
 /// already rewritten to downstream numbering). When the connection dies
 /// with requests still unacked, on_broken receives them in send order —
@@ -91,8 +100,9 @@ class UpstreamConn : public std::enable_shared_from_this<UpstreamConn> {
         on_broken;
   };
 
-  /// Connects and starts the reader. The reader keeps a shared_ptr to
-  /// the connection, so dropping the returned pointer never races it.
+  /// Connects and starts the reader and writer threads. The reader keeps
+  /// a shared_ptr to the connection and joins the writer before it exits,
+  /// so dropping the returned pointer never races either.
   static Result<std::shared_ptr<UpstreamConn>> Dial(const WorkerSpec& worker,
                                                     int dial_timeout_ms,
                                                     Callbacks callbacks,
@@ -102,13 +112,17 @@ class UpstreamConn : public std::enable_shared_from_this<UpstreamConn> {
   UpstreamConn(const UpstreamConn&) = delete;
   UpstreamConn& operator=(const UpstreamConn&) = delete;
 
-  /// Sends `entry.payload` as the connection's next line. False when the
-  /// connection has already failed — the entry was NOT accepted and the
-  /// caller must re-route it. True means the entry is owned here: it
-  /// either gets a response or rides the on_broken replay (a send that
-  /// breaks the connection mid-call still returns true for exactly this
-  /// reason — no entry may be owned twice).
+  /// Queues `entry.payload` as the connection's next line; never blocks.
+  /// False when the connection has already failed — the entry was NOT
+  /// accepted and the caller must re-route it. True means the entry is
+  /// owned here: it either gets a response or rides the on_broken replay
+  /// (a send that breaks the connection mid-call still returns true for
+  /// exactly this reason — no entry may be owned twice).
   bool Forward(ProxyEntry entry);
+
+  /// Bounds a drain: if the connection is still up at `deadline`, it
+  /// breaks as a worker death would, and on_broken gets the unacked tail.
+  void BreakAt(std::chrono::steady_clock::time_point deadline);
 
   int64_t Pending() const;
   bool failed() const;
@@ -123,6 +137,11 @@ class UpstreamConn : public std::enable_shared_from_this<UpstreamConn> {
   explicit UpstreamConn(WorkerSpec worker) : worker_(std::move(worker)) {}
 
   void ReaderLoop();
+  /// Flushes the outbox with blocking sends, and enforces BreakAt.
+  void WriterLoop();
+  /// Fails the connection and shuts its socket, which wakes the reader
+  /// into on_broken. `why` (may be null) is logged. Called under mu_.
+  void BreakLocked(const char* why);
   /// Pops the entry a response belongs to. False = unmatchable (logged
   /// and dropped). Called under mu_.
   bool MatchLocked(const std::string& response, ProxyEntry* entry);
@@ -141,6 +160,14 @@ class UpstreamConn : public std::enable_shared_from_this<UpstreamConn> {
   std::deque<int64_t> verb_order_;  ///< outstanding non-command seqs
   bool failed_ = false;
   bool shutdown_ = false;
+
+  // Write side: Forward appends here when the socket is full.
+  std::condition_variable writer_cv_;
+  std::string outbox_;
+  bool writing_ = false;  ///< the writer holds a batch taken from outbox_
+  bool closed_ = false;   ///< the reader ended; the writer exits
+  std::optional<std::chrono::steady_clock::time_point> break_at_;
+  std::thread writer_;    ///< joined by the reader
 };
 
 }  // namespace rankhow

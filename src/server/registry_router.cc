@@ -124,7 +124,7 @@ Status RegistryRouter::Open(const std::string& client,
         if (adopted != nullptr) *adopted = true;
         return Status();
       }
-      return Status::AlreadyExists("client already open: " + client);
+      return ClientAlreadyOpen(client);
     }
   }
   const std::string dataset =
@@ -135,7 +135,7 @@ Status RegistryRouter::Open(const std::string& client,
     return Status::NotFound("unknown dataset id: " + dataset);
   }
   if (routes_.count(client) > 0) {
-    return Status::AlreadyExists("client already open: " + client);
+    return ClientAlreadyOpen(client);
   }
 
   if (it->second.registry == nullptr) {
@@ -261,7 +261,7 @@ Status RegistryRouter::Open(const std::string& client,
     // fresh_journal, if one was opened) dies with this scope — neither
     // ever wrote anything.
     if (routes_.count(client) > 0) {
-      return Status::AlreadyExists("client already open: " + client);
+      return ClientAlreadyOpen(client);
     }
   }
 
@@ -277,7 +277,7 @@ Status RegistryRouter::Open(const std::string& client,
       return Status::NotFound("dataset evicted while opening: " + dataset);
     }
     if (routes_.count(client) > 0) {
-      return Status::AlreadyExists("client already open: " + client);
+      return ClientAlreadyOpen(client);
     }
     if (static_cast<int>(routes_.size()) >= options_.max_open_sessions) {
       return Status::ResourceExhausted(

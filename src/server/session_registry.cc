@@ -24,6 +24,10 @@ Status ClosedStatus() {
 
 }  // namespace
 
+Status ClientAlreadyOpen(const std::string& client) {
+  return Status::AlreadyExists("client already open: " + client);
+}
+
 SessionRegistry::SessionRegistry(SharedDataset data, Ranking given,
                                  std::vector<std::string> labels,
                                  ServerOptions options)
@@ -90,7 +94,7 @@ Status SessionRegistry::OpenInternal(const std::string& client,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (clients_.count(client) > 0) {
-      return Status::AlreadyExists("client already open: " + client);
+      return ClientAlreadyOpen(client);
     }
     if (static_cast<int>(clients_.size()) >= options_.max_clients) {
       return Status::ResourceExhausted(

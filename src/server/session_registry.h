@@ -52,6 +52,10 @@
 
 namespace rankhow {
 
+/// What every registry's Open returns for a client name already in use;
+/// the wire's duplicate-open response carries its message.
+Status ClientAlreadyOpen(const std::string& client);
+
 struct ServerOptions {
   /// Per-client solver configuration. num_threads is forced to 1: each
   /// session solves serially and the registry pool supplies the

@@ -173,7 +173,7 @@ std::string WireUnknownClient(const std::string& client) {
 }
 
 std::string WireDuplicateOpen(const std::string& client) {
-  return "err " + client + " client already open: " + client;
+  return "err " + client + " " + ClientAlreadyOpen(client).message();
 }
 
 std::string WireFramingError(const std::string& error) {
@@ -332,8 +332,6 @@ void WireConnection::DoOpen(const WireRequest& request) {
       owned_.push_back(request.client);
     }
     Emit("ok " + *ack);
-  } else if (ack.status().code() == StatusCode::kAlreadyExists) {
-    Emit(WireDuplicateOpen(request.client));
   } else {
     Emit(StrFormat("err %s %s", request.client.c_str(),
                    ack.status().message().c_str()));

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -221,11 +222,19 @@ long long ParseField(const std::string& text, const std::string& name) {
   return value.ok() ? static_cast<long long>(*value) : -1;
 }
 
-/// A minimal stand-in worker for health tests: answers every text line
-/// with a plausible `ok stats` line, until stopped. Restartable on the
-/// same port (SO_REUSEADDR), which is how the up-transition is staged.
+/// A minimal stand-in worker: answers each text line with `reply(line)`
+/// (an empty reply answers nothing), until stopped. The default reply is
+/// a plausible `ok stats` line for every line, which is all the health
+/// tests need. Restartable on the same port (SO_REUSEADDR), which is how
+/// the up-transition is staged. With `reads` false it accepts
+/// connections and never reads them: a wedged worker.
 class FakeWorker {
  public:
+  using Reply = std::function<std::string(const std::string& line)>;
+
+  FakeWorker() = default;
+  explicit FakeWorker(Reply reply, bool reads = true)
+      : reply_(std::move(reply)), reads_(reads) {}
   ~FakeWorker() { Stop(); }
 
   bool Start(int port = 0) {
@@ -234,6 +243,12 @@ class FakeWorker {
     int one = 1;
     (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
                        sizeof(one));
+    if (!reads_) {
+      // Accepted sockets inherit it: a wedged worker's buffer fills fast.
+      int rcvbuf = 4096;
+      (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf));
+    }
     sockaddr_in sin;
     std::memset(&sin, 0, sizeof(sin));
     sin.sin_family = AF_INET;
@@ -267,6 +282,7 @@ class FakeWorker {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (int fd : conns_) ::shutdown(fd, SHUT_RDWR);
+      stop_cv_.notify_all();
     }
     if (accept_thread_.joinable()) accept_thread_.join();
     if (listen_fd_ >= 0) {
@@ -299,6 +315,11 @@ class FakeWorker {
   }
 
   void Serve(int fd) {
+    if (!reads_) {
+      std::unique_lock<std::mutex> lock(mu_);
+      stop_cv_.wait(lock, [this] { return stopping_.load(); });
+      return;
+    }
     std::string buffer;
     char chunk[256];
     for (;;) {
@@ -307,18 +328,26 @@ class FakeWorker {
       buffer.append(chunk, static_cast<size_t>(n));
       size_t nl;
       while ((nl = buffer.find('\n')) != std::string::npos) {
+        const std::string line = buffer.substr(0, nl);
         buffer.erase(0, nl + 1);
-        const char reply[] = "ok stats fake=1\n";
-        if (::send(fd, reply, sizeof(reply) - 1, MSG_NOSIGNAL) < 0) return;
+        std::string reply = reply_ ? reply_(line) : "ok stats fake=1";
+        if (reply.empty()) continue;
+        reply += '\n';
+        if (::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL) < 0) {
+          return;
+        }
       }
     }
   }
 
+  Reply reply_;
+  bool reads_ = true;
   int listen_fd_ = -1;
   int port_ = 0;
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   std::mutex mu_;
+  std::condition_variable stop_cv_;
   std::vector<int> conns_;
   std::vector<std::thread> conn_threads_;
 };
@@ -737,6 +766,96 @@ TEST(CoordTest, StalledReaderIsAbortClosedAndSiblingsKeepBeingServed) {
   ASSERT_TRUE(ack.has_value()) << "sibling not served after the abort";
   EXPECT_EQ(*ack, "ok deadline 5");
   coord.Stop();
+}
+
+TEST(CoordTest, StalledWorkerCostsNoEventLoop) {
+  // A worker that accepts and never reads. One client pipelines 8 MiB of
+  // commands at it, far past what the upstream socket holds: forwarding
+  // must queue (and finally break the connection) rather than block the
+  // event loop in send(), so every sibling connection is still answered.
+  // Eight siblings cover every loop, the flooder's included. The worker
+  // is declared last so it stops first: a loop stuck in send() then
+  // fails the assertions instead of hanging the teardown.
+  CoordFixture coord;
+  FakeWorker stalled(FakeWorker::Reply(), /*reads=*/false);
+  ASSERT_TRUE(stalled.Start());
+  Status started =
+      coord.Start("127.0.0.1:" + std::to_string(stalled.port()), "");
+  ASSERT_TRUE(started.ok()) << started.ToString();
+
+  LineClient flooder;
+  ASSERT_TRUE(flooder.Connect(coord.endpoint).ok());
+  // A coordinator that stops reading must fail this test, not hang it.
+  timeval send_timeout{10, 0};
+  ASSERT_EQ(::setsockopt(flooder.fd(), SOL_SOCKET, SO_SNDTIMEO,
+                         &send_timeout, sizeof(send_timeout)),
+            0);
+  ASSERT_TRUE(flooder.SendLine("open c1 d0"));
+  // The comment pads each line to 4 KiB; the coordinator forwards lines
+  // verbatim, so the worker would receive all of it.
+  const std::string line = "c1 solve #" + std::string(4096, 'x') + "\n";
+  std::string flood;
+  for (int i = 0; i < 2048; ++i) flood += line;
+  (void)flooder.Send(flood);
+
+  for (int i = 0; i < 8; ++i) {
+    LineClient sibling;
+    DialOptions dial;
+    dial.recv_timeout_s = 5;
+    ASSERT_TRUE(sibling.Connect(coord.endpoint, dial).ok());
+    ASSERT_TRUE(sibling.SendLine("deadline 5"));
+    auto ack = sibling.ReadLine();
+    ASSERT_TRUE(ack.has_value()) << "sibling " << i << " not served";
+    EXPECT_EQ(*ack, "ok deadline 5");
+  }
+}
+
+TEST(CoordTest, QuitDuringSlowSolveDoesNotDelayAnotherConnection) {
+  // A worker that acks opens and never finishes a solve (nor the close
+  // that waits for it). Client A's quit must then wait for its drain
+  // without holding anything client B needs: B's open is answered
+  // promptly, and A's `ok quit` follows once the worker goes away.
+  CoordFixture coord;
+  std::atomic<bool> close_seen{false};
+  FakeWorker slow([&close_seen](const std::string& line) -> std::string {
+    if (line == "stats") return "ok stats fake=1";
+    if (StartsWith(line, "open ")) {
+      return "ok open " + Split(line, ' ')[1] + " d0";
+    }
+    if (StartsWith(line, "close ")) close_seen.store(true);
+    return "";  // a solve, and the close queued behind it
+  });
+  ASSERT_TRUE(slow.Start());
+  Status started =
+      coord.Start("127.0.0.1:" + std::to_string(slow.port()), "");
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  DialOptions dial;
+  dial.recv_timeout_s = 5;
+
+  LineClient a;
+  ASSERT_TRUE(a.Connect(coord.endpoint, dial).ok());
+  ASSERT_TRUE(a.SendLine("open a d0"));
+  auto opened = a.ReadLine();
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, "ok open a d0");
+  ASSERT_TRUE(a.SendLine("a solve"));
+  ASSERT_TRUE(a.SendLine("quit"));
+  // A's drain has begun once its close reached the worker.
+  ASSERT_TRUE(WaitFor([&close_seen] { return close_seen.load(); }));
+
+  LineClient b;
+  ASSERT_TRUE(b.Connect(coord.endpoint, dial).ok());
+  ASSERT_TRUE(b.SendLine("open b d0"));
+  auto b_opened = b.ReadLine();
+  ASSERT_TRUE(b_opened.has_value()) << "B's open waited behind A's quit";
+  EXPECT_EQ(*b_opened, "ok open b d0");
+
+  // The worker's death answers what it owed, which ends A's drain.
+  slow.Stop();
+  std::optional<std::string> last;
+  while (auto response = a.ReadLine()) last = response;
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(*last, "ok quit");
 }
 
 }  // namespace
